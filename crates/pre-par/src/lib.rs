@@ -2,11 +2,12 @@
 //!
 //! Simulations in the evaluation matrix are independent per
 //! (workload, technique) cell, so the runner only needs an ordered parallel
-//! map. The container this workspace builds in has no crates.io access, so
-//! instead of depending on rayon this crate implements the one primitive the
-//! workspace needs on top of [`std::thread::scope`]: [`par_map`], an
-//! order-preserving parallel map over a slice. The API is shaped so that a
-//! future swap to `rayon::par_iter` is a one-line change at each call site.
+//! map. The workspace builds without crates.io access, so instead of
+//! depending on rayon this crate implements the one primitive the workspace
+//! needs on top of [`std::thread::scope`]: [`try_par_map`], an
+//! order-preserving parallel map over a slice that captures a panicking item
+//! as a [`JobError`] instead of tearing down the pool. The simulator's batch
+//! runner (`pre_sim::batch`) is its only caller in the simulator.
 //!
 //! Work is distributed dynamically: an atomic cursor hands out the next item
 //! to whichever worker is free, so heterogeneous cell runtimes (a pointer
@@ -16,7 +17,10 @@
 //! # Example
 //!
 //! ```
-//! let squares = pre_par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
+//! let squares: Vec<u64> = pre_par::try_par_map(&[1u64, 2, 3, 4], |&x| x * x)
+//!     .into_iter()
+//!     .map(Result::unwrap)
+//!     .collect();
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
@@ -32,7 +36,7 @@ use std::sync::{Mutex, PoisonError};
 /// worker per available core).
 pub const THREADS_ENV: &str = "PRE_THREADS";
 
-/// Number of worker threads [`par_map`] will use for a workload of `len`
+/// Number of worker threads [`try_par_map`] will use for a workload of `len`
 /// items: `min(len, PRE_THREADS or available cores)`, and at least 1.
 pub fn num_threads(len: usize) -> usize {
     let configured = std::env::var(THREADS_ENV)
@@ -45,53 +49,6 @@ pub fn num_threads(len: usize) -> usize {
                 .unwrap_or(1)
         });
     configured.min(len).max(1)
-}
-
-/// Maps `f` over `items` in parallel, returning results in input order.
-///
-/// Equivalent to `items.iter().map(f).collect()` — same outputs, same order —
-/// but distributed over [`num_threads`] scoped worker threads. `f` runs at
-/// most once per item. Panics in `f` propagate to the caller once all workers
-/// have stopped.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = num_threads(items.len());
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(idx) else { break };
-                let result = f(item);
-                *slots[idx].lock().expect("result slot poisoned") = Some(result);
-            }));
-        }
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool completed without filling every slot")
-        })
-        .collect()
 }
 
 /// A captured panic from one work item of a [`try_par_map`] call.
@@ -128,11 +85,12 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Supervised sibling of [`par_map`]: maps `f` over `items` in parallel,
-/// capturing a panic in any single item as a [`JobError`] instead of tearing
-/// down the pool.
+/// Maps `f` over `items` in parallel, capturing a panic in any single item
+/// as a [`JobError`] instead of tearing down the pool.
 ///
-/// Results come back in input order, one `Result` per item. A worker whose
+/// Results come back in input order, one `Result` per item: the same values
+/// as `items.iter().map(f)`, distributed over [`num_threads`] scoped worker
+/// threads, with `f` run exactly once per item. A worker whose
 /// current item panics catches the unwind, records `Err(JobError)` for that
 /// slot, and moves on to the next item — so one poisoned cell cannot take the
 /// rest of the grid down with it, and every non-panicking item still produces
@@ -204,25 +162,30 @@ where
 mod tests {
     use super::*;
 
+    /// Unwraps every item of a [`try_par_map`] that must not panic.
+    fn all_ok<R>(results: Vec<Result<R, JobError>>) -> Vec<R> {
+        results.into_iter().map(|r| r.unwrap()).collect()
+    }
+
     #[test]
     fn preserves_order_and_values() {
         let items: Vec<u64> = (0..257).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        let parallel = par_map(&items, |&x| x * 3 + 1);
+        let parallel = all_ok(try_par_map(&items, |&x| x * 3 + 1));
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn handles_empty_and_single() {
         let empty: Vec<u64> = Vec::new();
-        assert!(par_map(&empty, |&x| x).is_empty());
-        assert_eq!(par_map(&[41u64], |&x| x + 1), vec![42]);
+        assert!(try_par_map(&empty, |&x| x).is_empty());
+        assert_eq!(all_ok(try_par_map(&[41u64], |&x| x + 1)), vec![42]);
     }
 
     #[test]
     fn runs_each_item_exactly_once() {
         let counters: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        par_map(&(0..64usize).collect::<Vec<_>>(), |&i| {
+        try_par_map(&(0..64usize).collect::<Vec<_>>(), |&i| {
             counters[i].fetch_add(1, Ordering::Relaxed)
         });
         for c in &counters {
@@ -248,17 +211,6 @@ mod tests {
         let result = f();
         std::panic::set_hook(prev);
         result
-    }
-
-    #[test]
-    fn try_par_map_matches_par_map_when_nothing_panics() {
-        let items: Vec<u64> = (0..257).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x * 7 + 3).collect();
-        let supervised = try_par_map(&items, |&x| x * 7 + 3);
-        assert_eq!(supervised.len(), serial.len());
-        for (got, want) in supervised.into_iter().zip(serial) {
-            assert_eq!(got.unwrap(), want);
-        }
     }
 
     #[test]
@@ -313,21 +265,6 @@ mod tests {
             });
             let err = results[0].as_ref().unwrap_err();
             assert_eq!(err.payload, "<non-string panic payload>");
-        });
-    }
-
-    #[test]
-    fn par_map_still_propagates_panics() {
-        with_quiet_panics(|| {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                par_map(&[1u64, 2, 3], |&x| {
-                    if x == 2 {
-                        panic!("unsupervised");
-                    }
-                    x
-                })
-            }));
-            assert!(outcome.is_err());
         });
     }
 }

@@ -2,22 +2,28 @@
 //! technique.
 //!
 //! Usage: `debug_stats [--suite synthetic|asm|mixed] [--trace <spec>]
-//! [--sample [n=K,interval=N]] [workload] [technique] [max_uops]`. Workload
-//! names include the asm kernels (`asm-matmul`, `quicksort`, ...); when only
-//! `--suite` is given, the suite's first workload is dumped. Run with
-//! `--help` for the environment variables the tools honour.
+//! [--sample [n=K,interval=N]] [--help] [workload] [technique] [max_uops]`.
+//! Workload names include the asm kernels (`asm-matmul`, `quicksort`, ...);
+//! when only `--suite` is given, the suite's first workload is dumped. Run
+//! with `--help` for the environment variables the tools honour. A malformed
+//! argument prints the usage and exits with code 2.
 
 use pre_runahead::Technique;
-use pre_sim::experiments::split_suite_flag;
+use pre_sim::experiments::{cli_from_args, Flag};
 use pre_sim::runner::{run_one, run_one_traced, RunSpec};
-use pre_sim::sample::SampleSpec;
 use pre_trace::collect::IntervalLog;
-use pre_trace::{IntervalCollector, TraceSession, TraceSpec, Tracer};
-use pre_workloads::Workload;
+use pre_trace::{IntervalCollector, TraceSession, Tracer};
 
-const HELP: &str = "\
-usage: debug_stats [--suite synthetic|asm|mixed] [--trace <spec>] [--sample [n=K,interval=N]] [workload] [technique] [max_uops]
+const FLAGS: &[Flag] = &[
+    Flag::Suite,
+    Flag::Trace,
+    Flag::Sample,
+    Flag::Help,
+    Flag::Cell,
+    Flag::MaxUops,
+];
 
+const ABOUT: &str = "
 Dumps every statistic of one (workload, technique) run, including the
 runahead interval entry/exit event log collected through the tracer.
 
@@ -41,88 +47,42 @@ environment variables:
   PRE_SIM_SPEED_REFERENCE  also time the reference scheduler
 ";
 
+/// Reports a failed run and exits 1.
+fn fail(what: &str, error: impl std::fmt::Display) -> ! {
+    eprintln!("{what}: {error}");
+    std::process::exit(1);
+}
+
 fn main() {
-    let (suite, positional) = match split_suite_flag(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprint!("{HELP}");
-            std::process::exit(2);
-        }
-    };
-    let mut trace: Option<TraceSpec> = None;
-    let mut sample: Option<SampleSpec> = None;
-    let mut rest = Vec::new();
-    let mut args = positional.into_iter().peekable();
-    while let Some(arg) = args.next() {
-        if arg == "--help" || arg == "-h" {
-            print!("{HELP}");
-            return;
-        }
-        if arg == "--trace" {
-            let value = args.next().unwrap_or_else(|| {
-                eprintln!("--trace requires a value");
-                std::process::exit(2);
-            });
-            trace = Some(value.parse().expect("valid --trace spec"));
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--trace=") {
-            trace = Some(value.parse().expect("valid --trace spec"));
-            continue;
-        }
-        if arg == "--sample" {
-            // The value is optional; consume the next argument only when it
-            // looks like a sample spec (contains `=`).
-            sample = Some(match args.peek() {
-                Some(next) if next.contains('=') => args
-                    .next()
-                    .unwrap_or_default()
-                    .parse()
-                    .expect("valid --sample spec"),
-                _ => SampleSpec::default(),
-            });
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--sample=") {
-            sample = Some(value.parse().expect("valid --sample spec"));
-            continue;
-        }
-        rest.push(arg);
-    }
-    if sample.is_some() && trace.is_some() {
+    let cli = cli_from_args(60_000, FLAGS, ABOUT);
+    if cli.sample.is_some() && cli.trace.is_some() {
         eprintln!("--sample and --trace are incompatible (sampled runs cannot be traced)");
         std::process::exit(2);
     }
-    let workload: Workload = rest
-        .first()
-        .map(|s| s.parse().expect("workload"))
-        .unwrap_or_else(|| suite.workloads()[0]);
-    let technique: Technique = rest
-        .get(1)
-        .map(|s| s.parse().expect("technique"))
-        .unwrap_or(Technique::OutOfOrder);
-    let budget: u64 = rest.get(2).and_then(|s| s.parse().ok()).unwrap_or(60_000);
+    let workload = cli.workload.unwrap_or_else(|| cli.suite.workloads()[0]);
+    let technique = cli.technique.unwrap_or(Technique::OutOfOrder);
 
-    let mut spec = RunSpec::new(workload, technique).with_budget(budget);
-    spec.sample = sample;
-    let (result, events, trace_files) = if sample.is_some() {
+    let mut spec = RunSpec::new(workload, technique).with_budget(cli.budget);
+    spec.sample = cli.sample;
+    let (result, events, trace_files) = if cli.sample.is_some() {
         // Sampled runs cannot carry a tracer; the interval event log stays
         // empty and the extrapolated statistics are dumped with a ~ marker.
-        let result = run_one(&spec).expect("run");
+        let result = run_one(&spec).unwrap_or_else(|e| fail("run failed", e));
         (result, IntervalLog::default(), None)
     } else {
         // The interval event log rides on the tracer: a full TraceSession
         // when `--trace` asks for files, the lightweight IntervalCollector
         // otherwise.
-        let tracer: Box<dyn Tracer> = match &trace {
+        let tracer: Box<dyn Tracer> = match &cli.trace {
             Some(ts) => Box::new(
-                TraceSession::create(ts, &spec.cell_name()).expect("trace files can be created"),
+                TraceSession::create(ts, &spec.cell_name())
+                    .unwrap_or_else(|e| fail("cannot create trace files", e)),
             ),
             None => Box::new(IntervalCollector::new()),
         };
-        let (result, tracer) = run_one_traced(&spec, tracer).expect("run");
-        let (events, trace_files) = recover_log(tracer, trace.is_some());
+        let (result, tracer) =
+            run_one_traced(&spec, tracer).unwrap_or_else(|e| fail("run failed", e));
+        let (events, trace_files) = recover_log(tracer, cli.trace.is_some());
         (result, events, trace_files)
     };
     let s = &result.stats;

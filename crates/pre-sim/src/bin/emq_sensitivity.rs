@@ -3,10 +3,10 @@
 //!
 //! Usage: `emq_sensitivity [max_uops_per_run]`.
 
-use pre_sim::experiments::{budget_from_args, emq_sensitivity, DEFAULT_EVAL_UOPS};
+use pre_sim::experiments::{cli_from_args, emq_sensitivity, Flag, DEFAULT_EVAL_UOPS};
 
 fn main() {
-    let budget = budget_from_args(DEFAULT_EVAL_UOPS / 2);
+    let budget = cli_from_args(DEFAULT_EVAL_UOPS / 2, &[Flag::MaxUops], "").budget;
     let table = emq_sensitivity(budget, &[192, 384, 768, 1536]).expect("EMQ sweep");
     println!("{}", table.render());
     println!(

@@ -7,16 +7,18 @@
 //! memory-intensive suite, 300 000 uops, event-driven scheduler).
 
 use pre_sim::experiments::{
-    cli_from_args, fig2_summary, fig2_table, run_suite_matrix_with, Suite, DEFAULT_EVAL_UOPS,
+    cli_from_args, fig2_summary, fig2_table, Flag, Suite, DEFAULT_EVAL_UOPS,
 };
+use pre_sim::EvaluationMatrix;
 
 fn main() {
-    let cli = cli_from_args(DEFAULT_EVAL_UOPS);
+    let flags = [Flag::Suite, Flag::ReferenceScheduler, Flag::MaxUops];
+    let cli = cli_from_args(DEFAULT_EVAL_UOPS, &flags, "");
     eprintln!(
         "running the Figure 2 evaluation matrix over the {} suite ({} committed uops per run)...",
         cli.suite, cli.budget
     );
-    let matrix = run_suite_matrix_with(cli.suite, &cli.config(), cli.budget, |r| {
+    let matrix = EvaluationMatrix::run_specs_isolated(&cli.matrix_specs(), |r| {
         eprintln!(
             "  {:<18} {:<10} ipc {:.3}  runahead entries {}",
             r.workload.name(),
@@ -25,6 +27,7 @@ fn main() {
             r.stats.runahead_entries
         );
     })
+    .into_result()
     .expect("evaluation matrix");
     let table = fig2_table(&matrix);
     println!("{}", table.render());

@@ -6,16 +6,18 @@
 //! 300 000 uops, event-driven scheduler).
 
 use pre_sim::experiments::{
-    cli_from_args, fig3_summary, fig3_table, run_suite_matrix_with, Suite, DEFAULT_EVAL_UOPS,
+    cli_from_args, fig3_summary, fig3_table, Flag, Suite, DEFAULT_EVAL_UOPS,
 };
+use pre_sim::EvaluationMatrix;
 
 fn main() {
-    let cli = cli_from_args(DEFAULT_EVAL_UOPS);
+    let flags = [Flag::Suite, Flag::ReferenceScheduler, Flag::MaxUops];
+    let cli = cli_from_args(DEFAULT_EVAL_UOPS, &flags, "");
     eprintln!(
         "running the Figure 3 evaluation matrix over the {} suite ({} committed uops per run)...",
         cli.suite, cli.budget
     );
-    let matrix = run_suite_matrix_with(cli.suite, &cli.config(), cli.budget, |r| {
+    let matrix = EvaluationMatrix::run_specs_isolated(&cli.matrix_specs(), |r| {
         eprintln!(
             "  {:<18} {:<10} energy {:.3} mJ",
             r.workload.name(),
@@ -23,6 +25,7 @@ fn main() {
             r.energy_mj()
         );
     })
+    .into_result()
     .expect("evaluation matrix");
     let table = fig3_table(&matrix);
     println!("{}", table.render());

@@ -21,13 +21,14 @@
 
 use pre_model::stats::TerminationKind;
 use pre_sim::experiments::{
-    cli_from_args, fig2_summary, fig2_table, fig3_summary, fig3_table,
-    run_suite_matrix_cli_isolated, stat_invocations, Suite, DEFAULT_EVAL_UOPS,
+    cli_from_args, fig2_summary, fig2_table, fig3_summary, fig3_table, stat_invocations, Suite,
+    DEFAULT_EVAL_UOPS, MATRIX_FLAGS,
 };
 use pre_sim::runner::cell_name;
+use pre_sim::EvaluationMatrix;
 
 fn main() {
-    let cli = cli_from_args(DEFAULT_EVAL_UOPS);
+    let cli = cli_from_args(DEFAULT_EVAL_UOPS, MATRIX_FLAGS, "");
     eprintln!(
         "running the full evaluation matrix over the {} suite ({} committed uops per run{})...",
         cli.suite,
@@ -44,7 +45,7 @@ fn main() {
     let start = std::time::Instant::now();
     // Failure-isolated: a cell that errors or panics degrades the report
     // (and the exit code) instead of aborting the other cells.
-    let run = run_suite_matrix_cli_isolated(&cli, |r| {
+    let run = EvaluationMatrix::run_specs_isolated(&cli.matrix_specs(), |r| {
         eprintln!(
             "  [{:>6.1}s] {:<18} {:<10} ipc {}{:.3}{}{}",
             start.elapsed().as_secs_f64(),

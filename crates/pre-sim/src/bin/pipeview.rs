@@ -2,7 +2,7 @@
 //! the files written — the quickest way to get a Konata/O3PipeView view of
 //! the pipeline or a `chrome://tracing` timeline of runahead intervals.
 //!
-//! Usage: `pipeview [--suite synthetic|asm|mixed] [--trace <spec>]
+//! Usage: `pipeview [--suite synthetic|asm|mixed] [--trace <spec>] [--help]
 //! [workload] [technique] [max_uops]`. Defaults: the suite's first
 //! workload, `pre-emq`, 20 000 committed uops, every stream under
 //! `traces/`. Open the `.pipeview` file with Konata (or gem5's
@@ -10,51 +10,23 @@
 //! or Perfetto.
 
 use pre_runahead::Technique;
-use pre_sim::experiments::split_suite_flag;
+use pre_sim::experiments::{cli_from_args, Flag};
 use pre_sim::runner::{run_one_traced, RunSpec};
-use pre_trace::{TraceSession, TraceSpec};
-use pre_workloads::Workload;
+use pre_trace::TraceSession;
 
 fn main() {
-    let (suite, positional) = match split_suite_flag(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("{msg}");
-            usage();
-        }
-    };
-    let mut trace: Option<TraceSpec> = None;
-    let mut rest = Vec::new();
-    let mut args = positional.into_iter();
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            let value = args.next().unwrap_or_else(|| {
-                eprintln!("--trace requires a value");
-                usage();
-            });
-            trace = Some(parse_spec(&value));
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--trace=") {
-            trace = Some(parse_spec(value));
-            continue;
-        }
-        if arg == "--help" || arg == "-h" {
-            usage();
-        }
-        rest.push(arg);
-    }
-    let workload: Workload = rest
-        .first()
-        .map(|s| s.parse().expect("workload"))
-        .unwrap_or_else(|| suite.workloads()[0]);
-    let technique: Technique = rest
-        .get(1)
-        .map(|s| s.parse().expect("technique"))
-        .unwrap_or(Technique::PreEmq);
-    let budget: u64 = rest.get(2).and_then(|s| s.parse().ok()).unwrap_or(20_000);
-
-    let trace = trace.unwrap_or_default();
+    let flags = [
+        Flag::Suite,
+        Flag::Trace,
+        Flag::Help,
+        Flag::Cell,
+        Flag::MaxUops,
+    ];
+    let cli = cli_from_args(20_000, &flags, "");
+    let workload = cli.workload.unwrap_or_else(|| cli.suite.workloads()[0]);
+    let technique = cli.technique.unwrap_or(Technique::PreEmq);
+    let budget = cli.budget;
+    let trace = cli.trace.unwrap_or_default();
     let spec = RunSpec::new(workload, technique).with_budget(budget);
     let session = match TraceSession::create(&trace, &spec.cell_name()) {
         Ok(s) => s,
@@ -96,19 +68,4 @@ fn main() {
         eprintln!("trace output incomplete: {e}");
         std::process::exit(1);
     }
-}
-
-fn parse_spec(value: &str) -> TraceSpec {
-    value.parse().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage();
-    })
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: pipeview [--suite synthetic|asm|mixed] [--trace <spec>] \
-         [workload] [technique] [max_uops]"
-    );
-    std::process::exit(2);
 }

@@ -4,10 +4,10 @@
 //!
 //! Usage: `sst_sensitivity [max_uops_per_run]`.
 
-use pre_sim::experiments::{budget_from_args, sst_sensitivity, DEFAULT_EVAL_UOPS};
+use pre_sim::experiments::{cli_from_args, sst_sensitivity, Flag, DEFAULT_EVAL_UOPS};
 
 fn main() {
-    let budget = budget_from_args(DEFAULT_EVAL_UOPS / 2);
+    let budget = cli_from_args(DEFAULT_EVAL_UOPS / 2, &[Flag::MaxUops], "").budget;
     let table = sst_sensitivity(budget, &[4, 8, 16, 64, 256]).expect("SST sweep");
     println!("{}", table.render());
     println!("paper: a 256-entry SST holds the stalling slices with almost no misses");

@@ -5,11 +5,10 @@
 //!
 //! Usage: `stat_flush_overhead [max_uops_per_run]`.
 
-use pre_sim::experiments::{budget_from_args, stat_flush_overhead, DEFAULT_EVAL_UOPS};
+use pre_sim::experiments::{cli_from_args, stat_flush_overhead, Flag, DEFAULT_EVAL_UOPS};
 
 fn main() {
-    let budget = budget_from_args(DEFAULT_EVAL_UOPS / 2);
-    let _ = DEFAULT_EVAL_UOPS;
+    let budget = cli_from_args(DEFAULT_EVAL_UOPS / 2, &[Flag::MaxUops], "").budget;
     let table = stat_flush_overhead(budget).expect("stat A runs");
     println!("{}", table.render());
     println!("paper: approximately 56 cycles per invocation for a 192-entry ROB");

@@ -6,10 +6,11 @@
 //! Usage: `stat_free_resources [--suite synthetic|asm|mixed]
 //! [--reference-scheduler] [max_uops_per_run]`.
 
-use pre_sim::experiments::{cli_from_args, stat_free_resources_with, DEFAULT_EVAL_UOPS};
+use pre_sim::experiments::{cli_from_args, stat_free_resources_with, Flag, DEFAULT_EVAL_UOPS};
 
 fn main() {
-    let cli = cli_from_args(DEFAULT_EVAL_UOPS / 2);
+    let flags = [Flag::Suite, Flag::ReferenceScheduler, Flag::MaxUops];
+    let cli = cli_from_args(DEFAULT_EVAL_UOPS / 2, &flags, "");
     let table =
         stat_free_resources_with(cli.suite, &cli.config(), cli.budget).expect("stat C runs");
     println!("{}", table.render());

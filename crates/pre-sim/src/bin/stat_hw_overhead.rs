@@ -4,8 +4,11 @@
 
 use pre_energy::HardwareOverhead;
 use pre_model::config::RunaheadConfig;
+use pre_sim::experiments::cli_from_args;
 
 fn main() {
+    // Takes no arguments: anything given is rejected with the usage.
+    cli_from_args(0, &[], "");
     let hw = HardwareOverhead::for_config(&RunaheadConfig::default());
     println!("== Stat E — hardware overhead (Section 3.6) ==");
     println!("{hw}");

@@ -5,10 +5,10 @@
 //!
 //! Usage: `stat_intervals [max_uops_per_run]`.
 
-use pre_sim::experiments::{budget_from_args, stat_intervals, DEFAULT_EVAL_UOPS};
+use pre_sim::experiments::{cli_from_args, stat_intervals, Flag, DEFAULT_EVAL_UOPS};
 
 fn main() {
-    let budget = budget_from_args(DEFAULT_EVAL_UOPS / 2);
+    let budget = cli_from_args(DEFAULT_EVAL_UOPS / 2, &[Flag::MaxUops], "").budget;
     let table = stat_intervals(budget).expect("stat B runs");
     println!("{}", table.render());
     println!("paper: ~27 % of runahead intervals are shorter than 20 cycles");

@@ -2,14 +2,16 @@
 //! than traditional runahead (1.62× and 1.95× in the paper) because entry and
 //! exit are cheap enough to profit from short intervals.
 //!
-//! Usage: `stat_invocations [max_uops_per_run]`.
+//! Usage: `stat_invocations [max_uops_per_run]` (the synthetic suite; for
+//! other suites `full_eval --suite <name>` prints the same table).
 
-use pre_sim::experiments::{
-    budget_from_args, run_evaluation_matrix, stat_invocations, DEFAULT_EVAL_UOPS,
-};
+use pre_sim::experiments::{cli_from_args, stat_invocations, Flag, DEFAULT_EVAL_UOPS};
+use pre_sim::EvaluationMatrix;
 
 fn main() {
-    let budget = budget_from_args(DEFAULT_EVAL_UOPS / 2);
-    let matrix = run_evaluation_matrix(budget, |_| {}).expect("evaluation matrix");
+    let cli = cli_from_args(DEFAULT_EVAL_UOPS / 2, &[Flag::MaxUops], "");
+    let matrix = EvaluationMatrix::run_specs_isolated(&cli.matrix_specs(), |_| {})
+        .into_result()
+        .expect("evaluation matrix");
     println!("{}", stat_invocations(&matrix).render());
 }

@@ -32,11 +32,26 @@
 //! `--fail-fast` stops launching new points after the first failure.
 
 use pre_runahead::Technique;
-use pre_sim::sample::SampleSpec;
-use pre_sim::sweep::{cache_hit_rate, sweep_csv, sweep_json, GridDim, Sweep, ALL_DIMS};
+use pre_sim::experiments::{cli_from_args, exit_with_usage, Flag};
+use pre_sim::sweep::{cache_hit_rate, sweep_csv, sweep_json, Sweep, ALL_DIMS};
 use pre_workloads::Workload;
-use std::str::FromStr;
 use std::time::Instant;
+
+const FLAGS: &[Flag] = &[
+    Flag::Opt("--workload", "<name>"),
+    Flag::Opt("--technique", "<name>"),
+    Flag::Opt("--budget", "<uops>"),
+    Flag::Warmup,
+    Flag::Opt("--grid", "dim=v1,v2,..."),
+    Flag::Opt("--json", "<path>"),
+    Flag::Opt("--csv", "<path>"),
+    Flag::Switch("--no-cache"),
+    Flag::Opt("--expect-min-hit-rate", "<pct>"),
+    Flag::ReferenceScheduler,
+    Flag::Switch("--fail-fast"),
+    Flag::Opt("--max-retries", "<n>"),
+    Flag::Sample,
+];
 
 struct Args {
     sweep: Sweep,
@@ -45,100 +60,50 @@ struct Args {
     expect_min_hit_rate: Option<f64>,
 }
 
-fn usage() -> ! {
-    let dims: Vec<_> = ALL_DIMS.iter().map(|d| d.name()).collect();
-    eprintln!(
-        "usage: sweep [--workload <name>] [--technique <name>] [--budget <uops>] \
-         [--warmup <uops>] [--grid dim=v1,v2,...]... [--json <path>] [--csv <path>] \
-         [--no-cache] [--expect-min-hit-rate <pct>] [--reference-scheduler] \
-         [--fail-fast] [--max-retries <n>] [--sample [n=K,interval=N]]"
-    );
-    eprintln!("dimensions: {}", dims.join(", "));
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
+    let dims: Vec<_> = ALL_DIMS.iter().map(|d| d.name()).collect();
+    let about = format!("dimensions: {}\n", dims.join(", "));
+    let bail = |msg: String| -> ! { exit_with_usage(&msg, FLAGS, &about) };
+    // `--budget` overrides the default budget below; there is no positional.
+    let cli = cli_from_args(150_000, FLAGS, &about);
     // Defaults mirror the EMQ ablation: lbm-like under PRE+EMQ.
     let mut sweep = Sweep::new(Workload::LbmLike, Technique::PreEmq);
-    sweep.budget = 150_000;
+    sweep.budget = cli.budget;
+    sweep.base_config = cli.config();
+    sweep.warmup_uops = cli.warmup;
+    sweep.sample = cli.sample;
     sweep.use_result_cache = true;
     let mut json = None;
     let mut csv = None;
     let mut expect_min_hit_rate = None;
-    let mut args = std::env::args().skip(1).peekable();
-    let bail = |msg: String| -> ! {
-        eprintln!("{msg}");
-        usage();
-    };
-    while let Some(arg) = args.next() {
-        if arg == "--sample" {
-            // The value is optional; consume the next argument only when it
-            // looks like a sample spec (contains `=`).
-            sweep.sample = Some(match args.peek() {
-                Some(next) if next.contains('=') && !next.starts_with("--") => {
-                    match args.next().unwrap_or_default().parse::<SampleSpec>() {
-                        Ok(s) => s,
-                        Err(e) => bail(format!("bad --sample: {e}")),
-                    }
-                }
-                _ => SampleSpec::default(),
-            });
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--sample=") {
-            match value.parse::<SampleSpec>() {
-                Ok(s) => sweep.sample = Some(s),
-                Err(e) => bail(format!("bad --sample: {e}")),
-            }
-            continue;
-        }
-        let mut value_of = |flag: &str| -> String {
-            match args.next() {
-                Some(v) => v,
-                None => bail(format!("{flag} requires a value")),
-            }
-        };
-        match arg.as_str() {
-            "--workload" => {
-                let v = value_of("--workload");
-                match Workload::from_str(&v) {
-                    Ok(w) => sweep.workload = w,
-                    Err(e) => bail(format!("{e}")),
-                }
-            }
+    for (name, value) in cli.own {
+        match name {
+            "--workload" => sweep.workload = value.parse().unwrap_or_else(|e| bail(format!("{e}"))),
             "--technique" => {
-                let v = value_of("--technique");
-                match Technique::from_str(&v.to_ascii_lowercase()) {
-                    Ok(t) => sweep.technique = t,
-                    Err(e) => bail(format!("{e}")),
-                }
+                sweep.technique = value.parse().unwrap_or_else(|e| bail(format!("{e}")))
             }
-            "--budget" => match value_of("--budget").parse() {
-                Ok(b) => sweep.budget = b,
-                Err(_) => bail("bad --budget value".to_string()),
-            },
-            "--warmup" => match value_of("--warmup").parse() {
-                Ok(w) => sweep.warmup_uops = w,
-                Err(_) => bail("bad --warmup value".to_string()),
-            },
-            "--grid" => match value_of("--grid").parse::<GridDim>() {
-                Ok(g) => sweep.dims.push(g),
-                Err(e) => bail(format!("{e}")),
-            },
-            "--json" => json = Some(value_of("--json")),
-            "--csv" => csv = Some(value_of("--csv")),
+            "--budget" => {
+                sweep.budget = value
+                    .parse()
+                    .unwrap_or_else(|_| bail("bad --budget value".to_string()))
+            }
+            "--grid" => sweep
+                .dims
+                .push(value.parse().unwrap_or_else(|e| bail(format!("{e}")))),
+            "--json" => json = Some(value),
+            "--csv" => csv = Some(value),
             "--no-cache" => sweep.use_result_cache = false,
-            "--expect-min-hit-rate" => match value_of("--expect-min-hit-rate").parse::<f64>() {
+            "--expect-min-hit-rate" => match value.parse::<f64>() {
                 Ok(p) => expect_min_hit_rate = Some(p / 100.0),
                 Err(_) => bail("bad --expect-min-hit-rate value".to_string()),
             },
-            "--reference-scheduler" => sweep.base_config.core.reference_scheduler = true,
             "--fail-fast" => sweep.fail_fast = true,
-            "--max-retries" => match value_of("--max-retries").parse() {
-                Ok(n) => sweep.max_retries = n,
-                Err(_) => bail("bad --max-retries value".to_string()),
-            },
-            _ => bail(format!("unrecognized argument `{arg}`")),
+            "--max-retries" => {
+                sweep.max_retries = value
+                    .parse()
+                    .unwrap_or_else(|_| bail("bad --max-retries value".to_string()))
+            }
+            _ => unreachable!("every option in FLAGS is handled"),
         }
     }
     Args {
@@ -197,9 +162,7 @@ fn main() {
     for f in &run.failures {
         println!(
             "{:<28} FAILED ({} attempts): {}",
-            f.label(),
-            f.attempts,
-            f.error
+            f.label, f.attempts, f.error
         );
     }
     let hit_rate = cache_hit_rate(points);

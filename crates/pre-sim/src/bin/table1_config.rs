@@ -3,9 +3,11 @@
 
 use pre_energy::HardwareOverhead;
 use pre_model::config::SimConfig;
-use pre_sim::experiments::table1;
+use pre_sim::experiments::{cli_from_args, table1};
 
 fn main() {
+    // Takes no arguments: anything given is rejected with the usage.
+    cli_from_args(0, &[], "");
     println!("{}", table1().render());
     let cfg = SimConfig::haswell_like();
     println!("== Section 3.6 — hardware overhead ==");

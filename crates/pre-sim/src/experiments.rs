@@ -1,7 +1,8 @@
 //! Experiment definitions: one function per figure/table/statistic of the
-//! paper, shared by the `pre-sim` binaries and the Criterion benches.
+//! paper, shared by the `pre-sim` binaries and the benches, plus the one
+//! command-line parser ([`parse_cli`]) every binary uses.
 
-use crate::matrix::{EvaluationMatrix, MatrixRun};
+use crate::matrix::EvaluationMatrix;
 use crate::report::{pct, pct_improvement, Table};
 use crate::runner::{run_one, RunResult, RunSpec};
 use crate::sample::SampleSpec;
@@ -10,7 +11,7 @@ use pre_model::config::SimConfig;
 use pre_model::error::SimError;
 use pre_runahead::Technique;
 use pre_trace::TraceSpec;
-use pre_workloads::{Workload, WorkloadParams};
+use pre_workloads::Workload;
 use std::fmt;
 use std::str::FromStr;
 
@@ -18,13 +19,9 @@ use std::str::FromStr;
 /// the experiment binaries. The paper simulates 1-billion-instruction
 /// SimPoints; this reproduction uses a budget that keeps the full evaluation
 /// matrix tractable on one machine while still covering thousands of
-/// runahead intervals per run. Override with the first command-line argument
-/// of each binary.
+/// runahead intervals per run. Override with the `[max_uops]` argument of
+/// each binary.
 pub const DEFAULT_EVAL_UOPS: u64 = 300_000;
-
-/// Reduced budget used by the Criterion benches (they re-run experiments
-/// several times).
-pub const BENCH_EVAL_UOPS: u64 = 60_000;
 
 /// Which workload set an experiment binary runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -140,9 +137,81 @@ impl FromStr for Suite {
     }
 }
 
-/// Common command-line arguments of the experiment binaries:
-/// `<binary> [--suite synthetic|asm|mixed] [--reference-scheduler]
-/// [--warmup <uops>] [--trace <spec>] [max_uops]`.
+/// One element of an experiment binary's command line. Each binary lists
+/// the elements it accepts (in usage order) and [`parse_cli`] rejects
+/// everything else, so a flag parses identically in every binary that
+/// takes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--suite synthetic|asm|mixed` (default synthetic).
+    Suite,
+    /// `--reference-scheduler`: the scan-based escape-hatch scheduler.
+    ReferenceScheduler,
+    /// `--warmup <uops>`: functional warm-up before detailed simulation.
+    Warmup,
+    /// `--trace <spec>` (see [`TraceSpec`] for the grammar).
+    Trace,
+    /// `--sample [n=K,interval=N]`. The value is optional: the next
+    /// argument is taken as the spec only when it contains `=` and does not
+    /// start with `--`.
+    Sample,
+    /// A binary-specific option with a value (name, value placeholder),
+    /// handed back in [`CliArgs::own`].
+    Opt(&'static str, &'static str),
+    /// A binary-specific switch, handed back in [`CliArgs::own`] with an
+    /// empty value.
+    Switch(&'static str),
+    /// `--help` / `-h`: print the usage and exit 0.
+    Help,
+    /// The positionals `[workload] [technique]`.
+    Cell,
+    /// The positional `[max_uops]`: the per-run micro-op budget.
+    MaxUops,
+}
+
+impl Flag {
+    fn name(self) -> Option<&'static str> {
+        match self {
+            Flag::Suite => Some("--suite"),
+            Flag::ReferenceScheduler => Some("--reference-scheduler"),
+            Flag::Warmup => Some("--warmup"),
+            Flag::Trace => Some("--trace"),
+            Flag::Sample => Some("--sample"),
+            Flag::Opt(name, _) | Flag::Switch(name) => Some(name),
+            Flag::Help => Some("--help"),
+            Flag::Cell | Flag::MaxUops => None,
+        }
+    }
+
+    fn usage(self) -> String {
+        match self {
+            Flag::Suite => "[--suite synthetic|asm|mixed]".into(),
+            Flag::Warmup => "[--warmup <uops>]".into(),
+            Flag::Trace => "[--trace <spec>]".into(),
+            Flag::Sample => "[--sample [n=K,interval=N]]".into(),
+            Flag::Opt(name, value) => format!("[{name} {value}]"),
+            Flag::Cell => "[workload] [technique]".into(),
+            Flag::MaxUops => "[max_uops]".into(),
+            Flag::ReferenceScheduler | Flag::Switch(_) | Flag::Help => {
+                format!("[{}]", self.name().unwrap_or_default())
+            }
+        }
+    }
+}
+
+/// The command line of `full_eval` and `quick_check`, the binaries whose
+/// cells honour every per-run flag.
+pub const MATRIX_FLAGS: &[Flag] = &[
+    Flag::Suite,
+    Flag::ReferenceScheduler,
+    Flag::Warmup,
+    Flag::Trace,
+    Flag::Sample,
+    Flag::MaxUops,
+];
+
+/// Parsed command-line arguments of an experiment binary. Fields whose
+/// [`Flag`] the binary does not accept keep their defaults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliArgs {
     /// Which workload suite to run.
@@ -166,6 +235,15 @@ pub struct CliArgs {
     /// estimated by SimPoint-style interval sampling instead of a full
     /// detailed run, and reported numbers are marked `~`.
     pub sample: Option<SampleSpec>,
+    /// The `[workload]` positional ([`Flag::Cell`]).
+    pub workload: Option<Workload>,
+    /// The `[technique]` positional ([`Flag::Cell`]).
+    pub technique: Option<Technique>,
+    /// Binary-specific options ([`Flag::Opt`], [`Flag::Switch`]) in
+    /// command-line order, with their values (empty for switches).
+    pub own: Vec<(&'static str, String)>,
+    /// `--help` was given ([`Flag::Help`]).
+    pub help: bool,
 }
 
 impl CliArgs {
@@ -177,243 +255,182 @@ impl CliArgs {
         cfg.core.reference_scheduler = self.reference_scheduler;
         cfg
     }
-}
 
-/// Extracts a `--suite <name>` / `--suite=<name>` flag from `args`,
-/// returning the suite (default [`Suite::Synthetic`]) and the remaining
-/// positional arguments in order. Shared by every experiment binary so the
-/// flag parses identically everywhere.
-///
-/// # Errors
-///
-/// Returns a message suitable for printing when the flag is malformed.
-pub fn split_suite_flag<I: IntoIterator<Item = String>>(
-    args: I,
-) -> Result<(Suite, Vec<String>), String> {
-    let mut suite = Suite::default();
-    let mut positional = Vec::new();
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        if arg == "--suite" {
-            let value = args.next().ok_or("--suite requires a value")?;
-            suite = value.parse().map_err(|e: ParseSuiteError| e.to_string())?;
-        } else if let Some(value) = arg.strip_prefix("--suite=") {
-            suite = value.parse().map_err(|e: ParseSuiteError| e.to_string())?;
-        } else {
-            positional.push(arg);
-        }
+    /// The run of one cell under these arguments: budget, configuration,
+    /// warm-up, trace and sampling as given, consulting the result cache
+    /// (traced cells always simulate). Each traced cell writes its own files
+    /// named after [`crate::runner::cell_name`].
+    pub fn spec(&self, workload: Workload, technique: Technique) -> RunSpec {
+        let mut spec = RunSpec::new(workload, technique)
+            .with_budget(self.budget)
+            .with_config(self.config())
+            .with_warmup(self.warmup)
+            .with_result_cache(true);
+        spec.trace.clone_from(&self.trace);
+        spec.sample = self.sample;
+        spec
     }
-    Ok((suite, positional))
+
+    /// [`CliArgs::spec`] for every cell of the suite's matrix, in matrix
+    /// order. Run them with [`EvaluationMatrix::run_specs_isolated`];
+    /// fields whose flag a binary does not accept keep their defaults.
+    pub fn matrix_specs(&self) -> Vec<RunSpec> {
+        self.suite
+            .cells()
+            .map(|(workload, technique)| self.spec(workload, technique))
+            .collect()
+    }
 }
 
-/// Parses `[--suite <name>] [--reference-scheduler] [--warmup <uops>]
-/// [--trace <spec>] [--sample [n=K,interval=N]] [max_uops]` from an argument
-/// iterator. `--sample` with no value uses the default sampling parameters
-/// ([`SampleSpec::default`]).
+/// The value of a flag: its inline `--flag=value` part, else the next
+/// argument.
+fn flag_value(
+    name: &str,
+    inline: &mut Option<String>,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<String, String> {
+    inline
+        .take()
+        .or_else(|| args.next())
+        .ok_or_else(|| format!("{name} requires a value"))
+}
+
+/// Parses an experiment binary's arguments against the [`Flag`]s it
+/// accepts. Value flags take `--flag value` or `--flag=value`; anything not
+/// in `flags` is an error. `default_budget` is the budget when no
+/// `[max_uops]` is given.
 ///
 /// # Errors
 ///
-/// Returns a message suitable for printing when a flag is malformed.
+/// Returns a message suitable for printing when an argument is malformed or
+/// not accepted.
 pub fn parse_cli<I: IntoIterator<Item = String>>(
     args: I,
     default_budget: u64,
+    flags: &[Flag],
 ) -> Result<CliArgs, String> {
-    let (suite, positional) = split_suite_flag(args)?;
     let mut cli = CliArgs {
-        suite,
+        suite: Suite::default(),
         budget: default_budget,
         reference_scheduler: false,
         warmup: 0,
         trace: None,
         sample: None,
+        workload: None,
+        technique: None,
+        own: Vec::new(),
+        help: false,
     };
-    let mut positional = positional.into_iter().peekable();
-    while let Some(arg) = positional.next() {
-        if arg == "--reference-scheduler" {
-            cli.reference_scheduler = true;
-            continue;
-        }
-        if arg == "--warmup" {
-            let value = positional.next().ok_or("--warmup requires a value")?;
-            cli.warmup = value
-                .parse()
-                .map_err(|_| format!("bad --warmup value `{value}`"))?;
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--warmup=") {
-            cli.warmup = value
-                .parse()
-                .map_err(|_| format!("bad --warmup value `{value}`"))?;
-            continue;
-        }
-        if arg == "--trace" {
-            let value = positional.next().ok_or("--trace requires a value")?;
-            cli.trace = Some(value.parse().map_err(|e| format!("{e}"))?);
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--trace=") {
-            cli.trace = Some(value.parse().map_err(|e| format!("{e}"))?);
-            continue;
-        }
-        if arg == "--sample" {
-            // The value is optional: consume the next argument only when it
-            // looks like a sample spec (contains `=`), so `--sample 60000`
-            // still reads the budget.
-            let spec = match positional.peek() {
-                Some(next) if next.contains('=') => {
-                    let value = positional.next().unwrap_or_default();
-                    value.parse().map_err(|e| format!("bad --sample: {e}"))?
-                }
-                _ => SampleSpec::default(),
-            };
-            cli.sample = Some(spec);
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--sample=") {
-            cli.sample = Some(value.parse().map_err(|e| format!("bad --sample: {e}"))?);
-            continue;
-        }
-        match arg.parse() {
-            Ok(budget) => cli.budget = budget,
-            Err(_) => return Err(format!("unrecognized argument `{arg}`")),
-        }
-    }
-    Ok(cli)
-}
-
-/// Parses the process command line
-/// (`[--suite <name>] [--reference-scheduler] [--warmup <uops>]
-/// [--trace <spec>] [--sample [n=K,interval=N]] [max_uops]`), exiting with a
-/// usage message on malformed input.
-pub fn cli_from_args(default_budget: u64) -> CliArgs {
-    match parse_cli(std::env::args().skip(1), default_budget) {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!(
-                "usage: <binary> [--suite synthetic|asm|mixed] [--reference-scheduler] \
-                 [--warmup <uops>] [--trace <spec>] [--sample [n=K,interval=N]] [max_uops]"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses an optional per-run micro-op budget from the command line
-/// (`<binary> [max_uops]`), falling back to `default`. `--suite` flags are
-/// tolerated and ignored (use [`cli_from_args`] to honour them).
-pub fn budget_from_args(default: u64) -> u64 {
-    let mut args = std::env::args().skip(1);
+    let mut positional = Vec::new();
+    let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
-        if arg == "--suite" {
-            let _ = args.next(); // skip the flag's value
+        if !arg.starts_with('-') {
+            positional.push(arg);
             continue;
         }
-        if arg.starts_with("--") {
-            continue;
-        }
-        if let Ok(budget) = arg.parse() {
-            return budget;
+        let (name, mut inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let name = if name == "-h" { "--help" } else { name };
+        let flag = flags
+            .iter()
+            .copied()
+            .find(|f| f.name() == Some(name))
+            .ok_or_else(|| format!("unrecognized argument `{arg}`"))?;
+        match flag {
+            Flag::Suite => {
+                let value = flag_value(name, &mut inline, &mut args)?;
+                cli.suite = value.parse().map_err(|e: ParseSuiteError| e.to_string())?;
+            }
+            Flag::Warmup => {
+                let value = flag_value(name, &mut inline, &mut args)?;
+                cli.warmup = value
+                    .parse()
+                    .map_err(|_| format!("bad --warmup value `{value}`"))?;
+            }
+            Flag::Trace => {
+                let value = flag_value(name, &mut inline, &mut args)?;
+                cli.trace = Some(value.parse().map_err(|e| format!("{e}"))?);
+            }
+            Flag::Sample => {
+                let value = inline
+                    .take()
+                    .or_else(|| args.next_if(|next| next.contains('=') && !next.starts_with("--")));
+                cli.sample = Some(match value {
+                    Some(value) => value.parse().map_err(|e| format!("bad --sample: {e}"))?,
+                    None => SampleSpec::default(),
+                });
+            }
+            Flag::Opt(name, _) => {
+                let value = flag_value(name, &mut inline, &mut args)?;
+                cli.own.push((name, value));
+            }
+            _ if inline.is_some() => return Err(format!("{name} takes no value")),
+            Flag::ReferenceScheduler => cli.reference_scheduler = true,
+            Flag::Switch(name) => cli.own.push((name, String::new())),
+            Flag::Help => cli.help = true,
+            Flag::Cell | Flag::MaxUops => unreachable!("positionals have no flag name"),
         }
     }
-    default
+    let mut positional = positional.into_iter();
+    if flags.contains(&Flag::Cell) {
+        if let Some(workload) = positional.next() {
+            cli.workload = Some(workload.parse().map_err(|e| format!("{e}"))?);
+        }
+        if let Some(technique) = positional.next() {
+            cli.technique = Some(technique.parse().map_err(|e| format!("{e}"))?);
+        }
+    }
+    if flags.contains(&Flag::MaxUops) {
+        if let Some(budget) = positional.next() {
+            cli.budget = budget
+                .parse()
+                .map_err(|_| format!("bad max_uops `{budget}`"))?;
+        }
+    }
+    match positional.next() {
+        Some(extra) => Err(format!("unrecognized argument `{extra}`")),
+        None => Ok(cli),
+    }
 }
 
-/// Runs the full Figure 2 / Figure 3 evaluation matrix: every
-/// memory-intensive workload under every technique.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_evaluation_matrix(
-    max_uops: u64,
-    progress: impl FnMut(&RunResult) + Send,
-) -> Result<EvaluationMatrix, SimError> {
-    run_suite_matrix(Suite::Synthetic, max_uops, progress)
+/// The usage line of this binary, built from the [`Flag`]s it accepts.
+pub fn usage(flags: &[Flag]) -> String {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let name = std::path::Path::new(&argv0)
+        .file_name()
+        .map_or_else(|| "<binary>".into(), |n| n.to_string_lossy());
+    let mut line = format!("usage: {name}");
+    for flag in flags {
+        line.push(' ');
+        line.push_str(&flag.usage());
+    }
+    line
 }
 
-/// Runs the evaluation matrix over the given [`Suite`]: every workload in
-/// the suite under every technique.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_suite_matrix(
-    suite: Suite,
-    max_uops: u64,
-    progress: impl FnMut(&RunResult) + Send,
-) -> Result<EvaluationMatrix, SimError> {
-    run_suite_matrix_with(suite, &SimConfig::haswell_like(), max_uops, progress)
+/// Prints `msg`, the usage line and `about` to stderr, then exits with code
+/// 2 — the response to any malformed command line.
+pub fn exit_with_usage(msg: &str, flags: &[Flag], about: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{}", usage(flags));
+    eprint!("{about}");
+    std::process::exit(2);
 }
 
-/// Runs the evaluation matrix over the given [`Suite`] with an explicit
-/// configuration (e.g. the `--reference-scheduler` escape hatch).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_suite_matrix_with(
-    suite: Suite,
-    config: &SimConfig,
-    max_uops: u64,
-    progress: impl FnMut(&RunResult) + Send,
-) -> Result<EvaluationMatrix, SimError> {
-    EvaluationMatrix::run(
-        &suite.workloads(),
-        &Technique::ALL,
-        config,
-        &WorkloadParams::default(),
-        max_uops,
-        progress,
-    )
-}
-
-/// Runs the evaluation matrix described by parsed [`CliArgs`], honouring
-/// `--suite`, `--reference-scheduler`, `--warmup` and `--trace` (the trace
-/// spec, when present, is applied to every cell; each cell writes its own
-/// files named after [`crate::runner::cell_name`]). Cells consult the result
-/// cache, so a repeated invocation (with `PRE_CACHE_DIR` set, or within one
-/// process) answers unchanged cells without simulating; traced cells always
-/// simulate.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator, including trace-file I/O
-/// failures.
-pub fn run_suite_matrix_cli(
-    cli: &CliArgs,
-    progress: impl FnMut(&RunResult) + Send,
-) -> Result<EvaluationMatrix, SimError> {
-    EvaluationMatrix::run_specs(&suite_matrix_specs(cli), progress)
-}
-
-/// The failure-isolated sibling of [`run_suite_matrix_cli`]: a cell that
-/// errors or panics is reported in [`MatrixRun::failures`] while every other
-/// cell still contributes its result, so one broken cell degrades the report
-/// instead of aborting the evaluation.
-pub fn run_suite_matrix_cli_isolated(
-    cli: &CliArgs,
-    progress: impl FnMut(&RunResult) + Send,
-) -> MatrixRun {
-    EvaluationMatrix::run_specs_isolated(&suite_matrix_specs(cli), progress)
-}
-
-/// The per-cell specs behind [`run_suite_matrix_cli`], in matrix order.
-fn suite_matrix_specs(cli: &CliArgs) -> Vec<RunSpec> {
-    let config = cli.config();
-    cli.suite
-        .cells()
-        .map(|(workload, technique)| {
-            let mut spec = RunSpec::new(workload, technique)
-                .with_budget(cli.budget)
-                .with_config(config.clone())
-                .with_warmup(cli.warmup)
-                .with_result_cache(true);
-            spec.trace.clone_from(&cli.trace);
-            spec.sample = cli.sample;
-            spec
-        })
-        .collect()
+/// Parses the process command line with [`parse_cli`], exiting through
+/// [`exit_with_usage`] on malformed input. With [`Flag::Help`] accepted,
+/// `--help` prints the usage line and `about` to stdout and exits 0.
+pub fn cli_from_args(default_budget: u64, flags: &[Flag], about: &str) -> CliArgs {
+    match parse_cli(std::env::args().skip(1), default_budget, flags) {
+        Ok(cli) if cli.help => {
+            println!("{}", usage(flags));
+            print!("{about}");
+            std::process::exit(0);
+        }
+        Ok(cli) => cli,
+        Err(msg) => exit_with_usage(&msg, flags, about),
+    }
 }
 
 /// `~` when the cell's result was extrapolated by sampling, so estimated
@@ -881,11 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_default_is_used_without_args() {
-        assert_eq!(budget_from_args(1234).max(1), budget_from_args(1234));
-    }
-
-    #[test]
     fn suites_select_the_right_workloads() {
         assert_eq!(
             Suite::Synthetic.workloads(),
@@ -900,39 +912,42 @@ mod tests {
         assert!(Suite::Asm.workloads().iter().all(|w| w.is_asm()));
     }
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn cli_parses_suite_and_budget_in_any_order() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let cli = parse_cli(args(&[]), 777).unwrap();
+        let cli = parse_cli(args(&[]), 777, MATRIX_FLAGS).unwrap();
         assert_eq!(cli.suite, Suite::Synthetic);
         assert_eq!(cli.budget, 777);
 
-        let cli = parse_cli(args(&["--suite", "asm", "5000"]), 777).unwrap();
+        let cli = parse_cli(args(&["--suite", "asm", "5000"]), 777, MATRIX_FLAGS).unwrap();
         assert_eq!(cli.suite, Suite::Asm);
         assert_eq!(cli.budget, 5000);
 
-        let cli = parse_cli(args(&["9000", "--suite=mixed"]), 777).unwrap();
+        let cli = parse_cli(args(&["9000", "--suite=mixed"]), 777, MATRIX_FLAGS).unwrap();
         assert_eq!(cli.suite, Suite::Mixed);
         assert_eq!(cli.budget, 9000);
 
-        assert!(parse_cli(args(&["--suite", "bogus"]), 777).is_err());
-        assert!(parse_cli(args(&["--suite"]), 777).is_err());
-        assert!(parse_cli(args(&["wat"]), 777).is_err());
+        assert!(parse_cli(args(&["--suite", "bogus"]), 777, MATRIX_FLAGS).is_err());
+        assert!(parse_cli(args(&["--suite"]), 777, MATRIX_FLAGS).is_err());
+        assert!(parse_cli(args(&["wat"]), 777, MATRIX_FLAGS).is_err());
+        assert!(parse_cli(args(&["100", "200"]), 777, MATRIX_FLAGS).is_err());
     }
 
     #[test]
     fn cli_parses_sample_flag_forms() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let cli = parse_cli(args(&[]), 777).unwrap();
+        let cli = parse_cli(args(&[]), 777, MATRIX_FLAGS).unwrap();
         assert_eq!(cli.sample, None);
 
-        let cli = parse_cli(args(&["--sample"]), 777).unwrap();
+        let cli = parse_cli(args(&["--sample"]), 777, MATRIX_FLAGS).unwrap();
         assert_eq!(cli.sample, Some(SampleSpec::default()));
 
-        let cli = parse_cli(args(&["--sample", "n=4,interval=5000"]), 777).unwrap();
+        let cli = parse_cli(args(&["--sample", "n=4,interval=5000"]), 777, MATRIX_FLAGS).unwrap();
         assert_eq!(cli.sample, Some(SampleSpec::new(4, 5_000)));
 
-        let cli = parse_cli(args(&["--sample=n=3", "9000"]), 777).unwrap();
+        let cli = parse_cli(args(&["--sample=n=3", "9000"]), 777, MATRIX_FLAGS).unwrap();
         assert_eq!(
             cli.sample,
             Some(SampleSpec::new(3, SampleSpec::DEFAULT_INTERVAL_UOPS))
@@ -940,21 +955,78 @@ mod tests {
         assert_eq!(cli.budget, 9000);
 
         // A bare `--sample` followed by the budget leaves the budget intact.
-        let cli = parse_cli(args(&["--sample", "60000"]), 777).unwrap();
+        let cli = parse_cli(args(&["--sample", "60000"]), 777, MATRIX_FLAGS).unwrap();
         assert_eq!(cli.sample, Some(SampleSpec::default()));
         assert_eq!(cli.budget, 60_000);
 
-        assert!(parse_cli(args(&["--sample=n=0"]), 777).is_err());
+        // ... and so does a following flag, even one with an inline value.
+        let cli = parse_cli(
+            args(&["--suite", "asm", "--sample", "--warmup=5000", "1000"]),
+            777,
+            MATRIX_FLAGS,
+        )
+        .unwrap();
+        assert_eq!(cli.sample, Some(SampleSpec::default()));
+        assert_eq!(cli.warmup, 5_000);
+        assert_eq!(cli.budget, 1_000);
+
+        assert!(parse_cli(args(&["--sample=n=0"]), 777, MATRIX_FLAGS).is_err());
     }
 
     #[test]
-    fn split_suite_flag_preserves_positionals() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (suite, positional) =
-            split_suite_flag(args(&["asm-quicksort", "--suite", "asm", "pre", "3000"])).unwrap();
-        assert_eq!(suite, Suite::Asm);
-        assert_eq!(positional, args(&["asm-quicksort", "pre", "3000"]));
-        assert!(split_suite_flag(args(&["--suite", "bogus"])).is_err());
+    fn cli_rejects_flags_a_binary_does_not_take() {
+        // `stat_intervals --warmup 500` once ran with a 500-uop budget.
+        let err = parse_cli(args(&["--warmup", "500"]), 777, &[Flag::MaxUops]).unwrap_err();
+        assert!(err.contains("--warmup"), "{err}");
+        // `stat_invocations --bogus 300` was once silently accepted.
+        let err = parse_cli(args(&["--bogus", "300"]), 777, MATRIX_FLAGS).unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+        // Switches take no value; `--help` only where a binary offers it.
+        assert!(parse_cli(args(&["--reference-scheduler=1"]), 777, MATRIX_FLAGS).is_err());
+        assert!(parse_cli(args(&["--help"]), 777, MATRIX_FLAGS).is_err());
+        let cli = parse_cli(args(&["-h"]), 777, &[Flag::Help]).unwrap();
+        assert!(cli.help);
+    }
+
+    #[test]
+    fn cli_parses_cell_positionals_and_own_options() {
+        let flags = [Flag::Suite, Flag::Cell, Flag::MaxUops];
+        let cli = parse_cli(
+            args(&["mcf-like", "--suite", "asm", "pre", "3000"]),
+            777,
+            &flags,
+        )
+        .unwrap();
+        assert_eq!(cli.suite, Suite::Asm);
+        assert_eq!(cli.workload, Some(Workload::McfLike));
+        assert_eq!(cli.technique, Some(Technique::Pre));
+        assert_eq!(cli.budget, 3000);
+        assert_eq!(parse_cli(args(&[]), 777, &flags).unwrap().workload, None);
+        assert!(parse_cli(args(&["nosuch"]), 777, &flags).is_err());
+        assert!(parse_cli(args(&["mcf-like", "nosuch"]), 777, &flags).is_err());
+        assert!(parse_cli(args(&["mcf-like", "pre", "lots"]), 777, &flags).is_err());
+
+        let flags = [
+            Flag::Opt("--grid", "dim=v1,v2,..."),
+            Flag::Switch("--no-cache"),
+        ];
+        let cli = parse_cli(
+            args(&["--grid", "emq=1,2", "--no-cache", "--grid=rob=3"]),
+            777,
+            &flags,
+        )
+        .unwrap();
+        assert_eq!(
+            cli.own,
+            vec![
+                ("--grid", "emq=1,2".to_string()),
+                ("--no-cache", String::new()),
+                ("--grid", "rob=3".to_string()),
+            ]
+        );
+        // Without `Flag::MaxUops` a positional budget is not accepted.
+        assert!(parse_cli(args(&["3000"]), 777, &flags).is_err());
+        assert!(parse_cli(args(&["--grid"]), 777, &flags).is_err());
     }
 
     #[test]

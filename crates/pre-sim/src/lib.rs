@@ -8,14 +8,16 @@
 //!
 //! * [`runner`] — run one (workload, technique) pair and collect statistics
 //!   plus energy.
-//! * [`matrix`] — run the full evaluation matrix and compute the normalized
-//!   metrics the figures plot (speedup over the out-of-order baseline,
-//!   energy savings, invocation ratios, …). Cells are independent
-//!   simulations and run in parallel over a [`pre_par`] worker pool;
-//!   `PRE_THREADS` caps the worker count.
+//! * [`batch`] — the supervised batch runner every fan-out goes through:
+//!   independent runs over a [`pre_par`] worker pool (`PRE_THREADS` caps
+//!   the worker count), with retries, fail-fast and per-run failure
+//!   records.
+//! * [`matrix`] — run the full evaluation matrix (a batch) and compute the
+//!   normalized metrics the figures plot (speedup over the out-of-order
+//!   baseline, energy savings, invocation ratios, …).
 //! * [`experiments`] — the per-figure/per-stat experiment definitions,
-//!   including the reduced default budgets that keep runs tractable on a
-//!   laptop.
+//!   the reduced default budgets that keep runs tractable on a laptop, and
+//!   the command-line parser every binary shares.
 //! * [`stores`] — warm-up snapshot sharing and the content-addressed result
 //!   cache (in-memory always, on disk under `PRE_CACHE_DIR`).
 //! * [`sample`] — SimPoint-style interval sampling: profile → cluster →
@@ -28,6 +30,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod batch;
 pub mod experiments;
 pub mod fault;
 pub mod matrix;
@@ -37,7 +40,8 @@ pub mod sample;
 pub mod stores;
 pub mod sweep;
 
-pub use matrix::{CellFailure, EvaluationMatrix, MatrixRun};
+pub use batch::{run_batch, BatchFailure, BatchPolicy};
+pub use matrix::{EvaluationMatrix, MatrixRun};
 pub use runner::{cell_name, run_one, run_one_traced, RunResult, RunSpec};
 pub use sample::{run_sampled, RepWeight, SampleMeta, SampleSpec};
-pub use sweep::{Sweep, SweepFailure, SweepPoint, SweepRun};
+pub use sweep::{Sweep, SweepPoint, SweepRun};

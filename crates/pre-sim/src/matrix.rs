@@ -1,39 +1,11 @@
 //! The workload × technique evaluation matrix behind Figures 2 and 3.
 
-use crate::runner::{cell_name, run_one, RunResult, RunSpec};
-use pre_model::config::SimConfig;
+use crate::batch::{first_error, run_batch, BatchFailure, BatchPolicy};
+use crate::runner::{RunResult, RunSpec};
 use pre_model::error::SimError;
 use pre_runahead::Technique;
-use pre_workloads::{Workload, WorkloadParams};
+use pre_workloads::Workload;
 use std::collections::HashMap;
-use std::fmt;
-use std::sync::{Mutex, PoisonError};
-
-/// One failed matrix cell: which cell, and the [`SimError`] (a panic caught
-/// by the supervised pool surfaces as [`SimError::Panic`]).
-#[derive(Debug)]
-pub struct CellFailure {
-    /// Index of the cell in spec (matrix) order.
-    pub index: usize,
-    /// The workload of the failed cell.
-    pub workload: Workload,
-    /// The technique of the failed cell.
-    pub technique: Technique,
-    /// What went wrong.
-    pub error: SimError,
-}
-
-impl fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cell {} ({}): {}",
-            self.index,
-            cell_name(self.workload, self.technique),
-            self.error
-        )
-    }
-}
 
 /// The outcome of a failure-isolated matrix run: every cell that succeeded
 /// (in matrix order) plus a record of every cell that did not. A panicking
@@ -43,7 +15,7 @@ pub struct MatrixRun {
     /// The successful cells, in matrix order.
     pub matrix: EvaluationMatrix,
     /// The failed cells, in matrix order.
-    pub failures: Vec<CellFailure>,
+    pub failures: Vec<BatchFailure>,
     /// Total cells attempted (`matrix.results().len() + failures.len()`).
     pub cells: usize,
 }
@@ -58,11 +30,11 @@ impl MatrixRun {
     ///
     /// # Errors
     ///
-    /// Returns the first [`CellFailure`]'s error when any cell failed.
+    /// Returns the first failed cell's error when any cell failed.
     pub fn into_result(self) -> Result<EvaluationMatrix, SimError> {
-        match self.failures.into_iter().next() {
+        match first_error(self.failures) {
             None => Ok(self.matrix),
-            Some(failure) => Err(failure.error),
+            Some(error) => Err(error),
         }
     }
 }
@@ -84,148 +56,30 @@ impl EvaluationMatrix {
         EvaluationMatrix::default()
     }
 
-    /// Runs `workloads` × `techniques` with the given configuration and
-    /// per-run micro-op budget, invoking `progress` after every completed
-    /// run (for incremental console output).
-    ///
-    /// Cells are independent simulations, so they are fanned out over a
-    /// [`pre_par`] worker pool (one worker per core, override with
-    /// `PRE_THREADS`). Each cell is fully deterministic, and results are
-    /// collected back in matrix order, so the returned matrix is
-    /// bit-identical to [`EvaluationMatrix::run_serial`] for the same
-    /// arguments. `progress` fires as cells complete, which under parallel
-    /// execution is not necessarily matrix order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] in matrix order. Unlike the serial
-    /// path, later cells may already have run by then; use
-    /// [`EvaluationMatrix::run_specs_isolated`] to keep their results.
-    pub fn run(
-        workloads: &[Workload],
-        techniques: &[Technique],
-        config: &SimConfig,
-        params: &WorkloadParams,
-        max_uops: u64,
-        progress: impl FnMut(&RunResult) + Send,
-    ) -> Result<Self, SimError> {
-        let specs = Self::specs(workloads, techniques, config, params, max_uops);
-        Self::run_specs(&specs, progress)
-    }
-
-    /// Runs an explicit list of cells (in the given order) over the worker
-    /// pool. This is the all-or-nothing wrapper around
-    /// [`EvaluationMatrix::run_specs_isolated`]; use it when a partial
-    /// matrix is useless to the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] in spec order (a caught cell panic
-    /// included, as [`SimError::Panic`]).
-    pub fn run_specs(
-        specs: &[RunSpec],
-        progress: impl FnMut(&RunResult) + Send,
-    ) -> Result<Self, SimError> {
-        Self::run_specs_isolated(specs, progress).into_result()
-    }
-
-    /// Runs an explicit list of cells over the supervised worker pool,
-    /// isolating failures: a cell that returns an error *or panics* is
-    /// recorded in [`MatrixRun::failures`] while every other cell still
-    /// produces its (bit-identical) result. Surviving-cell determinism is
-    /// asserted by the fault-injection suite.
+    /// Runs an explicit list of cells (in the given order) as one batch
+    /// ([`crate::batch::run_batch`]), isolating failures: a cell that
+    /// returns an error *or panics* is recorded in [`MatrixRun::failures`]
+    /// while every other cell still produces its (bit-identical) result.
+    /// `progress` fires once per successful cell, on the worker thread that
+    /// ran it, in completion order. Use [`MatrixRun::into_result`] when a
+    /// partial matrix is useless to the caller.
     pub fn run_specs_isolated(
         specs: &[RunSpec],
-        progress: impl FnMut(&RunResult) + Send,
+        mut progress: impl FnMut(&RunResult) + Send,
     ) -> MatrixRun {
-        let progress = Mutex::new(progress);
-        let indices: Vec<usize> = (0..specs.len()).collect();
-        let outcomes = pre_par::try_par_map(&indices, |&i| {
-            crate::fault::panic_if_cell_faulted(i);
-            let outcome = run_one(&specs[i]);
-            if let Ok(result) = &outcome {
-                // Recovering a poisoned progress lock is safe: the callback
-                // only renders console output.
-                let mut report = progress.lock().unwrap_or_else(PoisonError::into_inner);
-                (*report)(result);
-            }
-            outcome
-        });
         let mut matrix = EvaluationMatrix::new();
         let mut failures = Vec::new();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let spec = &specs[i];
-            let error = match outcome {
-                Ok(Ok(result)) => {
-                    matrix.push(result);
-                    continue;
-                }
-                Ok(Err(error)) => error,
-                Err(job) => SimError::Panic {
-                    detail: job.payload,
-                },
-            };
-            failures.push(CellFailure {
-                index: i,
-                workload: spec.workload,
-                technique: spec.technique,
-                error,
-            });
+        for outcome in run_batch(specs, &BatchPolicy::default(), |_, r| progress(r)) {
+            match outcome {
+                Ok(result) => matrix.push(result),
+                Err(failure) => failures.push(failure),
+            }
         }
         MatrixRun {
             matrix,
             failures,
             cells: specs.len(),
         }
-    }
-
-    /// Runs the matrix one cell at a time on the calling thread, in matrix
-    /// order. Reference implementation for [`EvaluationMatrix::run`]; the
-    /// parallel path must produce bit-identical statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] encountered; later cells do not run.
-    pub fn run_serial(
-        workloads: &[Workload],
-        techniques: &[Technique],
-        config: &SimConfig,
-        params: &WorkloadParams,
-        max_uops: u64,
-        mut progress: impl FnMut(&RunResult),
-    ) -> Result<Self, SimError> {
-        let mut matrix = EvaluationMatrix::new();
-        for spec in Self::specs(workloads, techniques, config, params, max_uops) {
-            let result = run_one(&spec)?;
-            progress(&result);
-            matrix.push(result);
-        }
-        Ok(matrix)
-    }
-
-    /// The run specifications for every (workload, technique) cell, in
-    /// matrix order (workload-major, matching the paper's figures).
-    fn specs(
-        workloads: &[Workload],
-        techniques: &[Technique],
-        config: &SimConfig,
-        params: &WorkloadParams,
-        max_uops: u64,
-    ) -> Vec<RunSpec> {
-        workloads
-            .iter()
-            .flat_map(|&workload| {
-                techniques
-                    .iter()
-                    .map(move |&technique| (workload, technique))
-            })
-            .map(|(workload, technique)| {
-                RunSpec::new(workload, technique)
-                    .with_budget(max_uops)
-                    .with_config(config.clone())
-                    .with_params(*params)
-            })
-            .collect()
     }
 
     /// Adds a result (used by custom sweeps). The first result for a
@@ -457,13 +311,13 @@ mod tests {
 
         let failed = MatrixRun {
             matrix: EvaluationMatrix::new(),
-            failures: vec![CellFailure {
+            failures: vec![BatchFailure {
                 index: 2,
-                workload: Workload::LbmLike,
-                technique: Technique::Pre,
+                label: "lbm-like_pre".to_string(),
                 error: SimError::Panic {
                     detail: "boom".to_string(),
                 },
+                attempts: 1,
             }],
             cells: 3,
         };

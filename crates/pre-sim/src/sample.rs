@@ -19,8 +19,9 @@
 //! The profiling/clustering plan and the representative snapshots are
 //! memoized per (program, sampling parameters, budget), so the five
 //! techniques of one evaluation cell pay for a single functional profile.
-//! Representatives fan out over `pre_par::try_par_map`, inheriting the
-//! supervised pool's failure isolation: a panic in one slice surfaces as
+//! Representatives run as one batch ([`crate::batch::run_batch`]), nested
+//! inside the caller's batch when the sampled run is itself a matrix cell,
+//! and inherit its failure isolation: a panic in one slice surfaces as
 //! [`SimError::Panic`] for the sampled run instead of tearing anything down.
 //!
 //! Every extrapolated result carries a [`SampleMeta`] so downstream
@@ -32,6 +33,7 @@
 // failure here must surface as a typed error, never an unwind.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use crate::batch::{run_batch, BatchPolicy};
 use crate::runner::{run_one, RunResult, RunSpec};
 use pre_energy::EnergyModel;
 use pre_model::error::SimError;
@@ -413,23 +415,10 @@ pub fn run_sampled(spec: &RunSpec) -> Result<RunResult, SimError> {
         })
         .collect();
 
-    let indices: Vec<usize> = (0..rep_specs.len()).collect();
-    let outcomes = pre_par::try_par_map(&indices, |&i| {
-        crate::fault::panic_if_cell_faulted(i);
-        run_one(&rep_specs[i])
-    });
-    let mut slices = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        match outcome {
-            Ok(Ok(result)) => slices.push(result),
-            Ok(Err(error)) => return Err(error),
-            Err(job) => {
-                return Err(SimError::Panic {
-                    detail: job.payload,
-                })
-            }
-        }
-    }
+    let slices = run_batch(&rep_specs, &BatchPolicy::default(), |_, _| {})
+        .into_iter()
+        .map(|outcome| outcome.map_err(|failure| failure.error))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Weighted extrapolation: integer counters are exact functions of the
     // per-slice stats and weights.

@@ -9,11 +9,12 @@
 //! sweep answers from cache and a cold sweep pays warm-up once instead of
 //! once per point.
 //!
-//! Points are failure-isolated: [`Sweep::run_isolated`] completes the whole
-//! grid even when individual points error or panic, reporting the failed
-//! cells (with their [`SimError`]s and attempt counts) alongside the
-//! successful ones. `max_retries` re-runs a failed point; `fail_fast` stops
-//! launching new points after the first failure.
+//! A sweep is a view over one [`crate::batch::run_batch`] call, so points
+//! are failure-isolated: [`Sweep::run_isolated`] completes the whole grid
+//! even when individual points error or panic, reporting the failed points
+//! (with their [`SimError`]s and attempt counts) alongside the successful
+//! ones. `max_retries` re-runs a failed point; `fail_fast` stops launching
+//! new points after the first failure.
 //!
 //! The EMQ/SST sensitivity experiments (`emq_sensitivity`,
 //! `sst_sensitivity`) are one-dimensional sweeps over this engine.
@@ -23,7 +24,8 @@
 // unwinding.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::runner::{run_one, RunResult, RunSpec};
+use crate::batch::{first_error, run_batch, BatchFailure, BatchPolicy};
+use crate::runner::{RunResult, RunSpec};
 use crate::sample::SampleSpec;
 use pre_model::config::SimConfig;
 use pre_model::error::SimError;
@@ -31,10 +33,7 @@ use pre_runahead::Technique;
 use pre_workloads::{Workload, WorkloadParams};
 use std::fmt;
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// One sweepable configuration parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,29 +210,6 @@ impl SweepPoint {
     }
 }
 
-/// One failed sweep point: its grid position and settings, the final
-/// [`SimError`] (a caught panic surfaces as [`SimError::Panic`]), and how
-/// many attempts were made. Points skipped by `fail_fast` carry
-/// [`SimError::Skipped`] and zero attempts.
-#[derive(Debug)]
-pub struct SweepFailure {
-    /// Index of the point in grid order.
-    pub index: usize,
-    /// `(dimension, value)` pairs, in grid order.
-    pub settings: Vec<(SweepDim, u64)>,
-    /// The error of the final attempt.
-    pub error: SimError,
-    /// Attempts made (`1 + retries`; 0 when skipped by fail-fast).
-    pub attempts: u32,
-}
-
-impl SweepFailure {
-    /// A compact `dim=value dim=value` label for tables and reports.
-    pub fn label(&self) -> String {
-        settings_label(&self.settings)
-    }
-}
-
 /// The outcome of a failure-isolated sweep: the successful points (grid
 /// order) plus every failure. A failed or panicking point never takes down
 /// the grid.
@@ -241,8 +217,9 @@ impl SweepFailure {
 pub struct SweepRun {
     /// The successful points, in grid order.
     pub points: Vec<SweepPoint>,
-    /// The failed (or fail-fast-skipped) points, in grid order.
-    pub failures: Vec<SweepFailure>,
+    /// The failed (or fail-fast-skipped) points, in grid order, labelled
+    /// with their `dim=value` settings.
+    pub failures: Vec<BatchFailure>,
     /// Total points in the grid (`points.len() + failures.len()`).
     pub total: usize,
 }
@@ -259,16 +236,11 @@ impl SweepRun {
     /// # Errors
     ///
     /// Returns the first failed point's error when any point failed.
-    pub fn into_result(mut self) -> Result<Vec<SweepPoint>, SimError> {
-        if self.failures.is_empty() {
-            return Ok(self.points);
+    pub fn into_result(self) -> Result<Vec<SweepPoint>, SimError> {
+        match first_error(self.failures) {
+            None => Ok(self.points),
+            Some(error) => Err(error),
         }
-        let pos = self
-            .failures
-            .iter()
-            .position(|f| !matches!(f.error, SimError::Skipped))
-            .unwrap_or(0);
-        Err(self.failures.swap_remove(pos).error)
     }
 }
 
@@ -301,8 +273,8 @@ pub struct Sweep {
     /// scheduling-dependent (deterministic under `PRE_THREADS=1`).
     pub fail_fast: bool,
     /// Re-run a failed point up to this many extra times before recording
-    /// the failure. Retries cover panics too (each attempt runs under
-    /// `catch_unwind`); a deterministic failure simply fails every attempt.
+    /// the failure. Retries cover panics too (see [`crate::batch`]); a
+    /// deterministic failure simply fails every attempt.
     pub max_retries: u32,
     /// The grid dimensions.
     pub dims: Vec<GridDim>,
@@ -389,73 +361,45 @@ impl Sweep {
         self.run_isolated(progress).into_result()
     }
 
-    /// Runs every point over the worker pool with failure isolation: a point
-    /// that errors or panics (after `max_retries` extra attempts) is
-    /// recorded in [`SweepRun::failures`] while the rest of the grid
-    /// completes and stays bit-identical to a clean run. With `fail_fast`,
-    /// points not yet launched when the first failure lands are skipped.
-    pub fn run_isolated(&self, progress: impl FnMut(&SweepPoint) + Send) -> SweepRun {
-        let specs = self.specs();
-        let progress = Mutex::new(progress);
-        let abort = AtomicBool::new(false);
-        let attempts_allowed = self.max_retries.saturating_add(1);
-        let indices: Vec<usize> = (0..specs.len()).collect();
-        let outcomes = pre_par::par_map(&indices, |&i| {
-            if self.fail_fast && abort.load(Ordering::Relaxed) {
-                return Err((SimError::Skipped, 0));
-            }
-            let (settings, spec) = &specs[i];
-            let mut last_error = SimError::Skipped;
-            for _attempt in 0..attempts_allowed {
-                // Per-attempt catch_unwind so retries cover panics, not just
-                // clean errors.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    crate::fault::panic_if_cell_faulted(i);
-                    run_one(spec)
-                }));
-                match outcome {
-                    Ok(Ok(result)) => {
-                        let point = SweepPoint {
-                            settings: settings.clone(),
-                            spec: spec.clone(),
-                            result,
-                        };
-                        // The callback only renders progress output, so a
-                        // poisoned lock is safe to recover.
-                        let mut report = progress.lock().unwrap_or_else(PoisonError::into_inner);
-                        (*report)(&point);
-                        return Ok(point);
-                    }
-                    Ok(Err(error)) => last_error = error,
-                    Err(payload) => {
-                        last_error = SimError::Panic {
-                            detail: pre_par::panic_message(payload.as_ref()),
-                        }
-                    }
-                }
-            }
-            if self.fail_fast {
-                abort.store(true, Ordering::Relaxed);
-            }
-            Err((last_error, attempts_allowed))
+    /// Runs every point as one batch ([`crate::batch::run_batch`]) with
+    /// failure isolation: a point that errors or panics (after
+    /// `max_retries` extra attempts) is recorded in [`SweepRun::failures`]
+    /// while the rest of the grid completes and stays bit-identical to a
+    /// clean run. With `fail_fast`, points not yet launched when the first
+    /// failure lands are skipped.
+    pub fn run_isolated(&self, mut progress: impl FnMut(&SweepPoint) + Send) -> SweepRun {
+        let (settings, specs): (Vec<_>, Vec<_>) = self.specs().into_iter().unzip();
+        let total = specs.len();
+        let policy = BatchPolicy {
+            max_retries: self.max_retries,
+            fail_fast: self.fail_fast,
+        };
+        let outcomes = run_batch(&specs, &policy, |i, result| {
+            progress(&SweepPoint {
+                settings: settings[i].clone(),
+                spec: specs[i].clone(),
+                result: result.clone(),
+            });
         });
         let mut points = Vec::new();
         let mut failures = Vec::new();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
+        for ((settings, spec), outcome) in settings.into_iter().zip(specs).zip(outcomes) {
             match outcome {
-                Ok(point) => points.push(point),
-                Err((error, attempts)) => failures.push(SweepFailure {
-                    index: i,
-                    settings: specs[i].0.clone(),
-                    error,
-                    attempts,
+                Ok(result) => points.push(SweepPoint {
+                    settings,
+                    spec,
+                    result,
                 }),
+                Err(mut failure) => {
+                    failure.label = settings_label(&settings);
+                    failures.push(failure);
+                }
             }
         }
         SweepRun {
             points,
             failures,
-            total: specs.len(),
+            total,
         }
     }
 }
@@ -495,7 +439,7 @@ fn json_escape(s: &str) -> String {
 pub fn sweep_json(
     sweep: &Sweep,
     points: &[SweepPoint],
-    failures: &[SweepFailure],
+    failures: &[BatchFailure],
     elapsed_secs: f64,
 ) -> String {
     let mut out = String::new();
@@ -522,7 +466,7 @@ pub fn sweep_json(
             out,
             "    {{\"index\": {}, \"label\": \"{}\", \"attempts\": {}, \"error\": \"{}\"}}",
             f.index,
-            json_escape(&f.label()),
+            json_escape(&f.label),
             f.attempts,
             json_escape(&f.error.to_string())
         );
@@ -682,9 +626,9 @@ mod tests {
     fn sweep_json_reports_failures() {
         let sweep = Sweep::new(Workload::ComputeBound, Technique::OutOfOrder)
             .with_dim("rob=128,192".parse().unwrap());
-        let failures = vec![SweepFailure {
+        let failures = vec![BatchFailure {
             index: 1,
-            settings: vec![(SweepDim::Rob, 192)],
+            label: "rob=192".to_string(),
             error: SimError::Panic {
                 detail: "boom \"quoted\"".to_string(),
             },
@@ -702,15 +646,15 @@ mod tests {
         let run = SweepRun {
             points: Vec::new(),
             failures: vec![
-                SweepFailure {
+                BatchFailure {
                     index: 0,
-                    settings: Vec::new(),
+                    label: "base".to_string(),
                     error: SimError::Skipped,
                     attempts: 0,
                 },
-                SweepFailure {
+                BatchFailure {
                     index: 1,
-                    settings: Vec::new(),
+                    label: "base".to_string(),
                     error: SimError::Panic {
                         detail: "real".to_string(),
                     },

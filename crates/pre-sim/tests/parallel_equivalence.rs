@@ -1,15 +1,43 @@
 //! The parallel evaluation matrix must be a pure speedup: same cells, same
 //! order, bit-identical statistics as the serial reference path.
 
-use pre_model::config::SimConfig;
 use pre_runahead::Technique;
 use pre_sim::matrix::EvaluationMatrix;
-use pre_workloads::{Workload, WorkloadParams};
+use pre_sim::runner::{run_one, RunSpec};
+use pre_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 const WORKLOADS: [Workload; 2] = [Workload::LbmLike, Workload::McfLike];
 const TECHNIQUES: [Technique; 2] = [Technique::OutOfOrder, Technique::Pre];
+
+/// The `workloads` × `techniques` cells in matrix (workload-major) order.
+fn specs(workloads: &[Workload], techniques: &[Technique], uops: u64) -> Vec<RunSpec> {
+    workloads
+        .iter()
+        .flat_map(|&w| {
+            techniques
+                .iter()
+                .map(move |&t| RunSpec::new(w, t).with_budget(uops))
+        })
+        .collect()
+}
+
+/// The parallel path: one supervised batch over the worker pool.
+fn run_parallel(specs: &[RunSpec]) -> EvaluationMatrix {
+    EvaluationMatrix::run_specs_isolated(specs, |_| {})
+        .into_result()
+        .expect("parallel matrix runs")
+}
+
+/// The serial reference: each cell on the calling thread, in order.
+fn run_serial(specs: &[RunSpec]) -> EvaluationMatrix {
+    let mut matrix = EvaluationMatrix::new();
+    for spec in specs {
+        matrix.push(run_one(spec).expect("serial cell runs"));
+    }
+    matrix
+}
 
 /// Serializes the tests in this binary: one of them mutates the
 /// process-global `PRE_THREADS` variable, which `pre-par` reads on every
@@ -22,14 +50,9 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 #[test]
 fn parallel_matrix_matches_serial_bit_for_bit() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let config = SimConfig::haswell_like();
-    let params = WorkloadParams::default();
-
-    let serial =
-        EvaluationMatrix::run_serial(&WORKLOADS, &TECHNIQUES, &config, &params, 4_000, |_| {})
-            .expect("serial matrix runs");
-    let parallel = EvaluationMatrix::run(&WORKLOADS, &TECHNIQUES, &config, &params, 4_000, |_| {})
-        .expect("parallel matrix runs");
+    let specs = specs(&WORKLOADS, &TECHNIQUES, 4_000);
+    let serial = run_serial(&specs);
+    let parallel = run_parallel(&specs);
 
     assert_eq!(serial.results().len(), 4);
     assert_eq!(parallel.results().len(), 4);
@@ -62,12 +85,11 @@ fn parallel_matrix_matches_serial_bit_for_bit() {
 #[test]
 fn progress_fires_once_per_cell() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let config = SimConfig::haswell_like();
-    let params = WorkloadParams::default();
     let count = AtomicUsize::new(0);
-    EvaluationMatrix::run(&WORKLOADS, &TECHNIQUES, &config, &params, 2_000, |_| {
+    EvaluationMatrix::run_specs_isolated(&specs(&WORKLOADS, &TECHNIQUES, 2_000), |_| {
         count.fetch_add(1, Ordering::Relaxed);
     })
+    .into_result()
     .expect("matrix runs");
     assert_eq!(count.load(Ordering::Relaxed), 4);
 }
@@ -80,26 +102,9 @@ fn single_threaded_parallel_path_is_identical() {
     // ENV_LOCK keeps the other tests from seeing it.
     let _guard = ENV_LOCK.lock().unwrap();
     std::env::set_var("PRE_THREADS", "1");
-    let config = SimConfig::haswell_like();
-    let params = WorkloadParams::default();
-    let one = EvaluationMatrix::run(
-        &[Workload::LbmLike],
-        &[Technique::Pre],
-        &config,
-        &params,
-        2_000,
-        |_| {},
-    )
-    .expect("matrix runs");
+    let specs = specs(&[Workload::LbmLike], &[Technique::Pre], 2_000);
+    let one = run_parallel(&specs);
     std::env::remove_var("PRE_THREADS");
-    let reference = EvaluationMatrix::run_serial(
-        &[Workload::LbmLike],
-        &[Technique::Pre],
-        &config,
-        &params,
-        2_000,
-        |_| {},
-    )
-    .expect("serial matrix runs");
+    let reference = run_serial(&specs);
     assert_eq!(one.results()[0].stats, reference.results()[0].stats);
 }

@@ -11,7 +11,7 @@ use pre_model::config::SimConfig;
 use pre_runahead::Technique;
 use pre_sim::experiments::Suite;
 use pre_sim::matrix::EvaluationMatrix;
-use pre_workloads::WorkloadParams;
+use pre_sim::runner::RunSpec;
 
 fn run_matrix(
     workloads: &[pre_workloads::Workload],
@@ -20,15 +20,18 @@ fn run_matrix(
 ) -> EvaluationMatrix {
     let mut config = SimConfig::haswell_like();
     config.core.reference_scheduler = reference;
-    EvaluationMatrix::run(
-        workloads,
-        &Technique::ALL,
-        &config,
-        &WorkloadParams::default(),
-        uops,
-        |_| {},
-    )
-    .expect("matrix runs")
+    let specs: Vec<RunSpec> = workloads
+        .iter()
+        .flat_map(|&w| Technique::ALL.map(|t| (w, t)))
+        .map(|(w, t)| {
+            RunSpec::new(w, t)
+                .with_budget(uops)
+                .with_config(config.clone())
+        })
+        .collect();
+    EvaluationMatrix::run_specs_isolated(&specs, |_| {})
+        .into_result()
+        .expect("matrix runs")
 }
 
 /// Every cell of the mixed (synthetic + asm) matrix, every technique: the

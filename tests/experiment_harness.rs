@@ -12,15 +12,19 @@ use precise_runahead::workloads::{Workload, WorkloadParams};
 fn a_small_evaluation_matrix_produces_all_figures() {
     let workloads = [Workload::LbmLike, Workload::LibquantumLike];
     let config = SimConfigBuilder::haswell_like().build().unwrap();
-    let matrix = EvaluationMatrix::run(
-        &workloads,
-        &Technique::ALL,
-        &config,
-        &WorkloadParams::default(),
-        8_000,
-        |_| {},
-    )
-    .expect("matrix runs");
+    let specs: Vec<RunSpec> = workloads
+        .iter()
+        .flat_map(|&w| Technique::ALL.map(|t| (w, t)))
+        .map(|(w, t)| {
+            RunSpec::new(w, t)
+                .with_budget(8_000)
+                .with_config(config.clone())
+                .with_params(WorkloadParams::default())
+        })
+        .collect();
+    let matrix = EvaluationMatrix::run_specs_isolated(&specs, |_| {})
+        .into_result()
+        .expect("matrix runs");
     assert!(!matrix.any_deadlocked());
     assert_eq!(
         matrix.results().len(),
