@@ -26,6 +26,7 @@ use pre_frontend::{BranchPredictorUnit, DelayPipe, UopQueue};
 use pre_mem::{HitLevel, MemoryHierarchy};
 use pre_model::config::SimConfig;
 use pre_model::error::{ConfigError, ProgramError, SimError, WatchdogDiag};
+use pre_model::isa::StaticInst;
 use pre_model::mem::FuncMem;
 use pre_model::program::{fold_store_checksum, ArchSnapshot, Program};
 use pre_model::reg::{ArchReg, PhysReg, RegClass, NUM_ARCH_REGS};
@@ -168,7 +169,9 @@ impl From<BuildError> for SimError {
 pub struct OooCore {
     pub(crate) cfg: SimConfig,
     pub(crate) technique: Technique,
-    pub(crate) program: Program,
+    /// The program's instructions (the PC of `insts[i]` is `i`). The core
+    /// keeps only these: the initial image is already in `func_mem`.
+    pub(crate) insts: Box<[StaticInst]>,
 
     // Functional / architectural state.
     pub(crate) mem_hier: MemoryHierarchy,
@@ -267,8 +270,9 @@ impl OooCore {
     /// memory (built from the program image on a cold start, cloned from a
     /// snapshot on a forked start) and is only invoked after validation.
     /// Taking it as a closure lets [`from_snapshot`](Self::from_snapshot)
-    /// skip the program-image build entirely — for multi-megabyte images
-    /// that build dominates the per-fork cost of sampled simulation.
+    /// skip the program-image build entirely: the snapshot's pages are
+    /// shared copy-on-write, so a fork copies its page table and, later,
+    /// only the pages it stores to.
     fn build(
         cfg: &SimConfig,
         program: &Program,
@@ -341,7 +345,7 @@ impl OooCore {
             ref_agen_updates: Vec::new(),
             cfg: cfg.clone(),
             technique,
-            program: program.clone(),
+            insts: Box::from(program.insts.as_slice()),
         })
     }
 

@@ -47,7 +47,7 @@ impl OooCore {
             if self.delay_pipe.is_full() {
                 break;
             }
-            let inst = match self.program.inst_at(self.fetch_pc) {
+            let inst = match self.insts.get(self.fetch_pc as usize) {
                 Some(i) => *i,
                 None => {
                     self.fetch_done = true;

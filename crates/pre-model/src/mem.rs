@@ -24,9 +24,31 @@
 //! allocated pages are pre-seeded with their per-byte hash-init values, so
 //! the load path never consults a written-byte bitmap — the bitmap exists
 //! only to account [`FuncMem::written_bytes`].
+//!
+//! # Copy-on-write pages
+//!
+//! A page payload is either *owned* (a plain `Box`, written in place with
+//! no reference counting) or *shared* (an `Arc` other memories may also
+//! hold). `FuncMem::share_pages` turns every owned page into a shared
+//! one; cloning a memory then copies only the page table, and the first
+//! store to a shared page copies that one page back into an owned `Box`.
+//! Warm-up snapshots share their pages this way, so every sweep point or
+//! sampled slice forked from one snapshot reads the same payloads and pays
+//! only for the pages it writes. Ownership is invisible to the contents:
+//! equality, loads and [`FuncMem::written_bytes`] are per copy and ignore
+//! it.
+//!
+//! # Dirty pages
+//!
+//! Every page also carries a *dirty* flag, set by each store and cleared by
+//! [`Program::build_memory`](crate::program::Program::build_memory) once the
+//! program image is loaded. The dirty pages are exactly what a run changed
+//! relative to its program's image, which is all a serialized snapshot has
+//! to carry (`FuncMem::dirty_page_images`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Bytes per functional-memory page.
 const PAGE_BYTES: u64 = 4096;
@@ -63,28 +85,28 @@ fn hash_init_bytes(addr: u64, len: usize) -> u64 {
     value
 }
 
-/// One resident 4 KB page: byte payload plus a written-byte bitmap (the
-/// payload is pre-seeded with hash-init values, so the bitmap is only used
-/// to count distinct written bytes).
-#[derive(Debug, Clone)]
-struct Page {
-    page_no: u64,
-    data: Box<[u8]>,
-    written: Box<[u64]>,
+/// The contents of one 4 KB page: byte payload plus a written-byte bitmap
+/// (the payload is pre-seeded with hash-init values, so the bitmap is only
+/// used to count distinct written bytes).
+#[derive(Debug, Clone, PartialEq)]
+struct PageBody {
+    data: [u8; PAGE_BYTES as usize],
+    written: [u64; BITMAP_WORDS],
 }
 
-impl Page {
-    fn new(page_no: u64) -> Self {
+impl PageBody {
+    /// A page no byte of which was written: every byte holds its hash-init
+    /// value.
+    fn fresh(page_no: u64) -> Box<Self> {
         let base = page_no * PAGE_BYTES;
-        let mut data = vec![0u8; PAGE_BYTES as usize].into_boxed_slice();
-        for (w, chunk) in data.chunks_exact_mut(8).enumerate() {
+        let mut body = Box::new(PageBody {
+            data: [0; PAGE_BYTES as usize],
+            written: [0; BITMAP_WORDS],
+        });
+        for (w, chunk) in body.data.chunks_exact_mut(8).enumerate() {
             chunk.copy_from_slice(&hash_addr(base + w as u64 * 8).to_le_bytes());
         }
-        Page {
-            page_no,
-            data,
-            written: vec![0u64; BITMAP_WORDS].into_boxed_slice(),
-        }
+        body
     }
 
     /// Marks bytes `offset .. offset + len` written; returns how many were
@@ -107,6 +129,53 @@ impl Page {
         }
         newly
     }
+
+    fn written_count(&self) -> u64 {
+        self.written.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+}
+
+/// A page payload: owned outright (stores write in place, no reference
+/// counting) or shared with other memories (the first store copies it).
+#[derive(Debug, Clone)]
+enum PageRef {
+    Owned(Box<PageBody>),
+    Shared(Arc<PageBody>),
+}
+
+impl PageRef {
+    fn body(&self) -> &PageBody {
+        match self {
+            PageRef::Owned(body) => body,
+            PageRef::Shared(body) => body,
+        }
+    }
+
+    /// Mutable access, copying a shared payload into an owned one first.
+    fn body_mut(&mut self) -> &mut PageBody {
+        if let PageRef::Shared(body) = self {
+            *self = PageRef::Owned(Box::new(PageBody::clone(body)));
+        }
+        match self {
+            PageRef::Owned(body) => body,
+            PageRef::Shared(_) => unreachable!("converted to owned above"),
+        }
+    }
+
+    fn share(&mut self) {
+        if let PageRef::Owned(body) = self {
+            *self = PageRef::Shared(Arc::new(PageBody::clone(body)));
+        }
+    }
+}
+
+/// One resident page: its number (checked by the last-page cache), whether
+/// it was stored to since the program image was loaded, and its payload.
+#[derive(Debug, Clone)]
+struct Page {
+    page_no: u64,
+    dirty: bool,
+    body: PageRef,
 }
 
 /// Sparse functional memory, byte granularity.
@@ -131,7 +200,7 @@ impl Page {
 pub struct FuncMem {
     /// Page number → index into `pages`.
     page_index: HashMap<u64, u32>,
-    /// Page payloads (arena; indices are stable because pages are never
+    /// Resident pages (arena; indices are stable because pages are never
     /// removed).
     pages: Vec<Page>,
     stored_bytes: u64,
@@ -148,6 +217,8 @@ impl Default for FuncMem {
     }
 }
 
+/// Copies the page table; owned payloads are copied, shared ones are not
+/// (see `FuncMem::share_pages`).
 impl Clone for FuncMem {
     fn clone(&self) -> Self {
         FuncMem {
@@ -160,8 +231,9 @@ impl Clone for FuncMem {
 }
 
 /// Semantic equality: the same set of pages with the same contents and
-/// written-byte bitmaps. Arena order and the last-page cache are
-/// representation details and do not participate.
+/// written-byte bitmaps. Arena order, the last-page cache, dirty flags and
+/// whether a payload is shared are representation details and do not
+/// participate.
 impl PartialEq for FuncMem {
     fn eq(&self, other: &Self) -> bool {
         self.stored_bytes == other.stored_bytes
@@ -170,9 +242,7 @@ impl PartialEq for FuncMem {
                 let Some(&other_idx) = other.page_index.get(&page_no) else {
                     return false;
                 };
-                let a = &self.pages[idx as usize];
-                let b = &other.pages[other_idx as usize];
-                a.data == b.data && a.written == b.written
+                self.pages[idx as usize].body.body() == other.pages[other_idx as usize].body.body()
             })
     }
 }
@@ -205,17 +275,30 @@ impl FuncMem {
         Some(idx)
     }
 
-    fn ensure_page(&mut self, page: u64) -> u32 {
-        match self.lookup_page(page) {
+    /// Appends a page that is not yet resident and makes it the cached one.
+    fn insert_page(&mut self, page_no: u64, body: Box<PageBody>) -> u32 {
+        debug_assert!(!self.page_index.contains_key(&page_no));
+        let idx = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
+        self.pages.push(Page {
+            page_no,
+            dirty: false,
+            body: PageRef::Owned(body),
+        });
+        self.page_index.insert(page_no, idx);
+        self.last_page.store(idx, Ordering::Relaxed);
+        idx
+    }
+
+    /// The page about to be stored to: made resident (hash-initialized) if
+    /// absent, marked dirty, and owned.
+    fn page_for_store(&mut self, page: u64) -> &mut PageBody {
+        let idx = match self.lookup_page(page) {
             Some(idx) => idx,
-            None => {
-                let idx = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
-                self.pages.push(Page::new(page));
-                self.page_index.insert(page, idx);
-                self.last_page.store(idx, Ordering::Relaxed);
-                idx
-            }
-        }
+            None => self.insert_page(page, PageBody::fresh(page)),
+        };
+        let page = &mut self.pages[idx as usize];
+        page.dirty = true;
+        page.body.body_mut()
     }
 
     /// Reads `len` (1–8) bytes at `addr`, little-endian, zero-extended into
@@ -234,7 +317,7 @@ impl FuncMem {
         if offset + len <= PAGE_BYTES as usize {
             match self.lookup_page(page) {
                 Some(idx) => {
-                    let bytes = &self.pages[idx as usize].data[offset..offset + len];
+                    let bytes = &self.pages[idx as usize].body.body().data[offset..offset + len];
                     let mut buf = [0u8; 8];
                     buf[..len].copy_from_slice(bytes);
                     u64::from_le_bytes(buf)
@@ -261,10 +344,10 @@ impl FuncMem {
         let len = len as usize;
         let (page, offset) = Self::split(addr);
         if offset + len <= PAGE_BYTES as usize {
-            let idx = self.ensure_page(page);
-            let page = &mut self.pages[idx as usize];
-            page.data[offset..offset + len].copy_from_slice(&value.to_le_bytes()[..len]);
-            self.stored_bytes += u64::from(page.mark_written(offset, len));
+            let body = self.page_for_store(page);
+            body.data[offset..offset + len].copy_from_slice(&value.to_le_bytes()[..len]);
+            let newly = body.mark_written(offset, len);
+            self.stored_bytes += u64::from(newly);
         } else {
             for i in 0..len {
                 self.store_bytes(addr.wrapping_add(i as u64), 1, value >> (8 * i));
@@ -338,22 +421,18 @@ impl FuncMem {
 
     /// Materializes a page that is not yet resident with every byte written:
     /// `words` carries the full payload, so the hash-init pass of
-    /// [`Page::new`] would be dead work.
+    /// [`PageBody::fresh`] would be dead work.
     fn install_fresh_full_page(&mut self, page_no: u64, words: &[u64]) {
         debug_assert_eq!(words.len() * 8, PAGE_BYTES as usize);
-        debug_assert!(self.lookup_page(page_no).is_none());
-        let mut data = vec![0u8; PAGE_BYTES as usize].into_boxed_slice();
-        for (chunk, word) in data.chunks_exact_mut(8).zip(words) {
+        let mut body = Box::new(PageBody {
+            data: [0; PAGE_BYTES as usize],
+            written: [u64::MAX; BITMAP_WORDS],
+        });
+        for (chunk, word) in body.data.chunks_exact_mut(8).zip(words) {
             chunk.copy_from_slice(&word.to_le_bytes());
         }
-        let idx = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
-        self.pages.push(Page {
-            page_no,
-            data,
-            written: vec![u64::MAX; BITMAP_WORDS].into_boxed_slice(),
-        });
-        self.page_index.insert(page_no, idx);
-        self.last_page.store(idx, Ordering::Relaxed);
+        let idx = self.insert_page(page_no, body);
+        self.pages[idx as usize].dirty = true;
         self.stored_bytes += PAGE_BYTES;
     }
 
@@ -365,24 +444,27 @@ impl FuncMem {
         }
     }
 
-    /// Iterates the resident pages in ascending page-number order as
-    /// `(page_number, payload, written_bitmap)` triples. This is the
-    /// snapshot serializer's view of the image: the payload already carries
-    /// the deterministic hash-init values for unwritten bytes, so a page
-    /// dump reproduces the image exactly.
-    pub fn page_images(&self) -> impl Iterator<Item = (u64, &[u8], &[u64])> {
-        let mut numbered: Vec<(u64, u32)> = self.page_index.iter().map(|(&p, &i)| (p, i)).collect();
-        numbered.sort_unstable_by_key(|&(p, _)| p);
-        numbered.into_iter().map(|(page_no, idx)| {
-            let page = &self.pages[idx as usize];
-            (page_no, &page.data[..], &page.written[..])
+    /// The dirty pages, in ascending page-number order, as
+    /// `(page_number, payload, written_bitmap)` triples: those stored to
+    /// since `Program::build_memory` loaded the program image (or installed
+    /// by [`FuncMem::install_page`]). The payload already carries the
+    /// deterministic hash-init values for unwritten bytes, so installing
+    /// these pages over a fresh `build_memory()` of the same program
+    /// reproduces this memory exactly; this is the snapshot serializer's
+    /// view of the image.
+    pub(crate) fn dirty_page_images(&self) -> impl Iterator<Item = (u64, &[u8], &[u64])> {
+        let mut dirty: Vec<&Page> = self.pages.iter().filter(|p| p.dirty).collect();
+        dirty.sort_unstable_by_key(|p| p.page_no);
+        dirty.into_iter().map(|page| {
+            let body = page.body.body();
+            (page.page_no, &body.data[..], &body.written[..])
         })
     }
 
     /// Installs one page wholesale (payload plus written-byte bitmap),
-    /// replacing any resident page with the same number. The written-byte
-    /// accounting is recomputed from the bitmaps, so installing the pages of
-    /// [`FuncMem::page_images`] into a fresh memory reproduces
+    /// replacing any resident page with the same number, and marks it
+    /// dirty. The written-byte accounting is recomputed from the bitmaps,
+    /// so installing a memory's pages into a fresh one reproduces
     /// [`FuncMem::written_bytes`] exactly.
     ///
     /// # Panics
@@ -392,17 +474,32 @@ impl FuncMem {
     pub fn install_page(&mut self, page_no: u64, data: &[u8], written: &[u64]) {
         assert_eq!(data.len(), PAGE_BYTES as usize, "page payload size");
         assert_eq!(written.len(), BITMAP_WORDS, "written-bitmap size");
-        let idx = self.ensure_page(page_no);
-        let page = &mut self.pages[idx as usize];
-        let old_written: u64 = page.written.iter().map(|w| u64::from(w.count_ones())).sum();
-        page.data.copy_from_slice(data);
-        page.written.copy_from_slice(written);
-        let new_written: u64 = written.iter().map(|w| u64::from(w.count_ones())).sum();
+        let body = self.page_for_store(page_no);
+        let old_written = body.written_count();
+        body.data.copy_from_slice(data);
+        body.written.copy_from_slice(written);
+        let new_written = body.written_count();
         self.stored_bytes = self.stored_bytes - old_written + new_written;
     }
 
-    /// Bytes per page, the granularity of [`FuncMem::page_images`] /
-    /// [`FuncMem::install_page`].
+    /// Turns every owned page payload into a shared one, so that clones of
+    /// this memory (and this memory itself) copy a page only on their first
+    /// store to it. Contents are unchanged.
+    pub(crate) fn share_pages(&mut self) {
+        for page in &mut self.pages {
+            page.body.share();
+        }
+    }
+
+    /// Clears every dirty flag: the current contents become the baseline
+    /// that [`FuncMem::dirty_page_images`] is relative to.
+    pub(crate) fn mark_clean(&mut self) {
+        for page in &mut self.pages {
+            page.dirty = false;
+        }
+    }
+
+    /// Bytes per page, the granularity of [`FuncMem::install_page`].
     pub const PAGE_BYTES: usize = PAGE_BYTES as usize;
 }
 
@@ -471,15 +568,8 @@ mod tests {
 
         assert_eq!(fast.written_bytes(), slow.written_bytes());
         assert_eq!(fast.resident_pages(), slow.resident_pages());
-        let fast_pages: Vec<_> = fast
-            .page_images()
-            .map(|(n, d, w)| (n, d.to_vec(), w.to_vec()))
-            .collect();
-        let slow_pages: Vec<_> = slow
-            .page_images()
-            .map(|(n, d, w)| (n, d.to_vec(), w.to_vec()))
-            .collect();
-        assert_eq!(fast_pages, slow_pages);
+        assert_eq!(fast, slow, "same pages, payloads and bitmaps");
+        assert!(fast.dirty_page_images().eq(slow.dirty_page_images()));
     }
 
     #[test]
@@ -588,5 +678,59 @@ mod tests {
         assert_eq!(clone.load_u64(0x0000), 1);
         assert_eq!(clone.load_u64(0x2000), 2);
         assert_eq!(clone.resident_pages(), 2);
+    }
+
+    #[test]
+    fn stores_through_a_clone_never_reach_the_original_or_a_sibling() {
+        let mut original = FuncMem::new();
+        original.store_u64(0x1000, 1);
+        original.store_u64(0x5000, 5);
+        for shared in [false, true] {
+            let mut base = original.clone();
+            if shared {
+                base.share_pages();
+            }
+            let mut a = base.clone();
+            let mut b = base.clone();
+            a.store_u64(0x1000, 0xA); // shared page, rewritten word
+            a.store_u64(0x1008, 0xA); // shared page, fresh word
+            a.store_bytes(0x9000, 1, 0xA); // page absent elsewhere
+            b.store_u64(0x5000, 0xB);
+            assert_eq!(base, original, "shared={shared}: base changed");
+            assert_eq!((base.load_u64(0x1000), base.load_u64(0x5000)), (1, 5));
+            assert_eq!((a.load_u64(0x1000), a.load_u64(0x1008)), (0xA, 0xA));
+            assert_eq!((a.load_u64(0x5000), a.resident_pages()), (5, 3));
+            assert_eq!((b.load_u64(0x1000), b.load_u64(0x5000)), (1, 0xB));
+            assert_eq!(b.resident_pages(), 2);
+            // Written bytes are counted per copy.
+            assert_eq!(base.written_bytes(), 16);
+            assert_eq!(a.written_bytes(), 16 + 8 + 1);
+            assert_eq!(b.written_bytes(), 16);
+            // Unwritten bytes of a copied page keep their hash-init values.
+            assert_eq!(a.load_u64(0x1010), base.load_u64(0x1010));
+        }
+    }
+
+    #[test]
+    fn dirty_pages_are_those_stored_to_since_the_last_mark() {
+        let mut mem = FuncMem::new();
+        mem.init_from((0..3 * 512).map(|w| (w * 8, w)));
+        mem.store_u64(0x8000, 1);
+        mem.mark_clean();
+        assert_eq!(mem.dirty_page_images().count(), 0);
+        mem.share_pages();
+        let mut fork = mem.clone();
+        fork.store_u64(0x1000, 7);
+        fork.store_u64(0x9000, 7);
+        let dirty: Vec<u64> = fork.dirty_page_images().map(|(n, _, _)| n).collect();
+        assert_eq!(dirty, [1, 9]);
+        assert_eq!(mem.dirty_page_images().count(), 0, "flags are per copy");
+        // The dirty pages over the clean base rebuild the fork exactly.
+        let mut rebuilt = mem.clone();
+        for (page_no, data, written) in fork.dirty_page_images() {
+            rebuilt.install_page(page_no, data, written);
+        }
+        assert_eq!(rebuilt, fork);
+        assert_eq!(rebuilt.written_bytes(), fork.written_bytes());
     }
 }

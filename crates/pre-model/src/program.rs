@@ -14,6 +14,7 @@ use crate::isa::StaticInst;
 use crate::mem::FuncMem;
 use crate::reg::{ArchReg, NUM_ARCH_REGS};
 use crate::snapshot::WarmTrace;
+use std::sync::Arc;
 
 /// A static program for the synthetic ISA.
 #[derive(Debug, Default)]
@@ -210,10 +211,13 @@ impl Program {
     }
 
     /// Builds a fresh functional memory initialized with the program's image.
+    /// No page is dirty yet: later stores mark what a run changed relative
+    /// to this image, which is what a serialized snapshot carries.
     pub fn build_memory(&self) -> FuncMem {
         let mut mem = FuncMem::new();
         mem.init_from(self.initial_mem.iter().copied());
         mem.init_bytes_from(self.initial_mem_bytes.iter().copied());
+        mem.mark_clean();
         mem
     }
 
@@ -256,9 +260,12 @@ pub fn fold_store_checksum(checksum: u64, addr: u64, value: u64, seq: u64) -> u6
 }
 
 /// In-order functional interpreter: the golden model.
+///
+/// It keeps only the program's instructions (shared between clones), not
+/// its initial image, which it has already loaded into its memory.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
-    program: Program,
+    insts: Arc<[StaticInst]>,
     regs: [u64; NUM_ARCH_REGS],
     mem: FuncMem,
     pc: u32,
@@ -278,7 +285,7 @@ impl Interpreter {
             regs: program.build_registers(),
             mem: program.build_memory(),
             pc: program.entry,
-            program: program.clone(),
+            insts: Arc::from(program.insts.as_slice()),
             retired: 0,
             store_checksum: 0,
             stores: 0,
@@ -336,6 +343,16 @@ impl Interpreter {
         self.mem
     }
 
+    /// A copy of the functional memory that shares every page with the
+    /// interpreter's own, copy-on-write: the copy costs the page table, and
+    /// whichever side stores to a page first copies that page.
+    /// Capturing a snapshot mid-run this way leaves the interpreter free to
+    /// continue.
+    pub fn fork_memory(&mut self) -> FuncMem {
+        self.mem.share_pages();
+        self.mem.clone()
+    }
+
     /// Executes one instruction. Returns `false` when the interpreter is
     /// halted (PC outside the program) and nothing was executed.
     pub fn step(&mut self) -> bool {
@@ -351,7 +368,7 @@ impl Interpreter {
         if self.halted {
             return false;
         }
-        let inst = match self.program.inst_at(self.pc) {
+        let inst = match self.insts.get(self.pc as usize) {
             Some(i) => *i,
             None => {
                 self.halted = true;
@@ -403,7 +420,7 @@ impl Interpreter {
         }
         self.pc = out.next_pc;
         self.retired += 1;
-        if self.pc as usize >= self.program.len() {
+        if self.pc as usize >= self.insts.len() {
             self.halted = true;
         }
         true

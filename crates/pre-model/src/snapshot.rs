@@ -18,8 +18,11 @@
 //! per (workload, params, warmup-uops) and forked per sweep point.
 //!
 //! Snapshots serialize to a line-oriented text format ([`SimSnapshot::to_text`]
-//! / [`SimSnapshot::from_text`]) that round-trips exactly, so a warmed image
-//! can be stored and restored across processes.
+//! / [`SimSnapshot::from_text`]) that round-trips exactly *relative to the
+//! snapshot's program*: the text carries only the memory pages warm-up
+//! stored to, and restoring installs them over the program's freshly built
+//! image. A warmed image can so be stored and restored across processes at
+//! the cost of what warm-up wrote, not of the whole image.
 
 // Decode paths here feed the fault-tolerant stores: a failure must surface as
 // a typed error (and degrade to a cold run), never unwind.
@@ -131,6 +134,11 @@ impl WarmTrace {
 /// [`SimSnapshot::capture`] and forked (cloned) per sweep point; the
 /// configuration-dependent warmed structures (caches, branch predictor) are
 /// derived from [`SimSnapshot::trace`] by the consumer.
+///
+/// The memory's pages are shared copy-on-write, so a fork copies only the
+/// page table and then only the pages it stores to. The
+/// text form serializes losslessly relative to the snapshot's program:
+/// [`SimSnapshot::from_text`] needs the same program to rebuild the image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSnapshot {
     /// The requested warm-up budget in micro-ops.
@@ -176,21 +184,25 @@ impl SimSnapshot {
         let halted = interp.halted();
         let pc = interp.pc();
         let regs = *interp.regs();
+        let mut mem = interp.into_memory();
+        mem.share_pages();
         SimSnapshot {
             warmup_uops,
             executed,
             halted,
             regs,
             pc,
-            mem: interp.into_memory(),
+            mem,
             trace,
         }
     }
 
-    /// Serializes the snapshot to the line-oriented text format.
+    /// Serializes the snapshot to the line-oriented text format, relative
+    /// to the program it was captured from: only the pages stored to since
+    /// the program's image was built are written.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str("pre-snapshot v1\n");
+        out.push_str("pre-snapshot v2\n");
         let _ = writeln!(out, "warmup_uops {}", self.warmup_uops);
         let _ = writeln!(out, "executed {}", self.executed);
         let _ = writeln!(out, "halted {}", u8::from(self.halted));
@@ -200,7 +212,7 @@ impl SimSnapshot {
             let _ = write!(out, " {r}");
         }
         out.push('\n');
-        for (page_no, data, written) in self.mem.page_images() {
+        for (page_no, data, written) in self.mem.dirty_page_images() {
             let _ = write!(out, "page {page_no} ");
             for b in data {
                 let _ = write!(out, "{b:02x}");
@@ -224,15 +236,19 @@ impl SimSnapshot {
         out
     }
 
-    /// Parses the text format written by [`SimSnapshot::to_text`].
+    /// Parses the text format written by [`SimSnapshot::to_text`]. The
+    /// stored pages are installed over `program.build_memory()`, so
+    /// `program` must be the one the snapshot was captured from (the
+    /// snapshot store keys its files by the program's content hash).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
-    pub fn from_text(text: &str) -> Result<SimSnapshot, String> {
+    /// Returns a description of the first malformed line, or of an older
+    /// format version.
+    pub fn from_text(text: &str, program: &Program) -> Result<SimSnapshot, String> {
         let mut lines = text.lines();
-        if lines.next() != Some("pre-snapshot v1") {
-            return Err("not a pre-snapshot v1 file".to_string());
+        if lines.next() != Some("pre-snapshot v2") {
+            return Err("not a pre-snapshot v2 file".to_string());
         }
         let mut snap = SimSnapshot {
             warmup_uops: 0,
@@ -240,7 +256,7 @@ impl SimSnapshot {
             halted: false,
             regs: [0; NUM_ARCH_REGS],
             pc: 0,
-            mem: FuncMem::new(),
+            mem: program.build_memory(),
             trace: WarmTrace::new(),
         };
         let mut saw_end = false;
@@ -307,6 +323,7 @@ impl SimSnapshot {
         if !saw_end {
             return Err("truncated snapshot (no end marker)".to_string());
         }
+        snap.mem.share_pages();
         Ok(snap)
     }
 }
@@ -378,7 +395,7 @@ mod tests {
         let program = looping_program();
         let snap = SimSnapshot::capture(&program, 80);
         let text = snap.to_text();
-        let back = SimSnapshot::from_text(&text).expect("parses");
+        let back = SimSnapshot::from_text(&text, &program).expect("parses");
         assert_eq!(back, snap);
         assert_eq!(back.mem.written_bytes(), snap.mem.written_bytes());
         // The restored memory reads identically (spot-check the stored word
@@ -410,9 +427,33 @@ mod tests {
     }
 
     #[test]
+    fn text_carries_only_pages_written_after_the_image() {
+        // An image of three full pages, one of which the loop then writes.
+        let mut program = looping_program();
+        program.initial_mem = (0..3 * 512).map(|w| (w * 8, w)).collect();
+        let snap = SimSnapshot::capture(&program, 80);
+        assert_eq!(snap.mem.resident_pages(), 3);
+        assert_eq!(snap.mem.dirty_page_images().count(), 1);
+        let text = snap.to_text();
+        assert_eq!(text.lines().filter(|l| l.starts_with("page ")).count(), 1);
+        let back = SimSnapshot::from_text(&text, &program).expect("parses");
+        assert_eq!(back, snap);
+        assert_eq!(back.to_text(), text, "re-serializes identically");
+    }
+
+    #[test]
     fn from_text_rejects_garbage() {
-        assert!(SimSnapshot::from_text("nope").is_err());
-        assert!(SimSnapshot::from_text("pre-snapshot v1\n").is_err());
-        assert!(SimSnapshot::from_text("pre-snapshot v1\nwat 3\nend\n").is_err());
+        let program = looping_program();
+        let header = "pre-snapshot v2\n";
+        assert!(SimSnapshot::from_text("nope", &program).is_err());
+        assert!(SimSnapshot::from_text(header, &program).is_err());
+        assert!(SimSnapshot::from_text(&format!("{header}wat 3\nend\n"), &program).is_err());
+        assert!(SimSnapshot::from_text(&format!("{header}end\n"), &program).is_ok());
+        let v1 = SimSnapshot::capture(&program, 80).to_text().replacen(
+            "pre-snapshot v2",
+            "pre-snapshot v1",
+            1,
+        );
+        assert!(SimSnapshot::from_text(&v1, &program).is_err());
     }
 }

@@ -341,7 +341,7 @@ fn capture_representative_snapshots(
             halted: interp.halted(),
             regs: *interp.regs(),
             pc: interp.pc(),
-            mem: interp.clone().into_memory(),
+            mem: interp.fork_memory(),
             trace,
         };
         crate::stores::snapshot_publish(program, offset, window, snap, disk.as_deref());

@@ -382,7 +382,7 @@ pub fn snapshot_lookup(
         return Some(snap);
     }
     let dir = disk_dir?;
-    let snap = snapshot_from_disk(dir, key, &desc)?;
+    let snap = snapshot_from_disk(dir, key, &desc, program)?;
     Some(insert_or_get(&SNAPSHOTS, key, &desc, Arc::new(snap)))
 }
 
@@ -408,7 +408,7 @@ pub fn snapshot_publish(
     insert_or_get(&SNAPSHOTS, key, &desc, snap)
 }
 
-fn snapshot_from_disk(dir: &Path, key: u64, desc: &str) -> Option<SimSnapshot> {
+fn snapshot_from_disk(dir: &Path, key: u64, desc: &str, program: &Program) -> Option<SimSnapshot> {
     let path = snapshot_disk_path(dir, key);
     let body = read_framed(&path, "snapshot")?;
     let (stored_desc, snap_text) = match body.split_once('\n') {
@@ -428,7 +428,7 @@ fn snapshot_from_disk(dir: &Path, key: u64, desc: &str) -> Option<SimSnapshot> {
         // A hash collision with another live key: miss, not corruption.
         return None;
     }
-    match SimSnapshot::from_text(snap_text) {
+    match SimSnapshot::from_text(snap_text, program) {
         Ok(snap) => Some(snap),
         Err(detail) => {
             quarantine(&path, &detail);
@@ -938,6 +938,42 @@ mod tests {
         );
         let corrupt = PathBuf::from(format!("{}.corrupt", path.display()));
         assert!(corrupt.exists(), "truncated snapshot was quarantined");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn persisted_snapshot_is_relative_to_the_image_and_v1_is_recaptured() {
+        // mcf-like's image scatters words over ~3 000 pages; the persisted
+        // 40 k-uop snapshot carries only the pages warm-up stored to.
+        let program = Workload::McfLike.build(&WorkloadParams::default());
+        let (key, desc) = snapshot_key(&program, 40_000, 40_000);
+        let dir = std::env::temp_dir().join(format!("pre-snap-v2-test-{key:016x}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        clear_stores();
+        let cold = snapshot_for_with_dir(&program, 40_000, 40_000, Some(&dir));
+        assert!(cold.mem.resident_pages() > 1_000);
+        let path = snapshot_disk_path(&dir, key);
+        let bytes = std::fs::metadata(&path).expect("snapshot persisted").len();
+        assert!(bytes < 1 << 20, "persisted snapshot is {bytes} B");
+        // An intact entry in the previous format: framing and keydesc pass,
+        // the body's version does not. It is quarantined and recaptured.
+        let v1 = format!("keydesc {desc}\n{}", cold.to_text()).replacen(
+            "pre-snapshot v2",
+            "pre-snapshot v1",
+            1,
+        );
+        std::fs::write(&path, encode_cache_file("snapshot", &v1)).unwrap();
+        clear_stores();
+        let recaptured = snapshot_for_with_dir(&program, 40_000, 40_000, Some(&dir));
+        assert!(!Arc::ptr_eq(&cold, &recaptured));
+        assert_eq!(*recaptured, *cold);
+        assert_eq!(recaptured.to_text(), cold.to_text());
+        let corrupt = PathBuf::from(format!("{}.corrupt", path.display()));
+        assert!(corrupt.exists(), "v1 snapshot was quarantined");
+        // The recapture was persisted in the current format.
+        clear_stores();
+        let from_disk = snapshot_for_with_dir(&program, 40_000, 40_000, Some(&dir));
+        assert_eq!(*from_disk, *cold);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -73,10 +73,12 @@ fn snapshot_fork_matches_cold_capture_across_matrix_and_schedulers() {
 fn serialized_snapshot_restores_bit_identically() {
     let params = WorkloadParams::short(500);
     let chase: Workload = "asm-chase-large".parse().expect("known workload");
-    for workload in [Workload::LbmLike, chase] {
+    // No image, full image pages, and scattered words over many pages: the
+    // serialized form is relative to each program's image.
+    for workload in [Workload::LbmLike, chase, Workload::McfLike] {
         let program = workload.build(&params);
         let snap = SimSnapshot::capture(&program, WARMUP);
-        let restored = SimSnapshot::from_text(&snap.to_text()).expect("roundtrips");
+        let restored = SimSnapshot::from_text(&snap.to_text(), &program).expect("roundtrips");
         assert_eq!(restored, snap);
         let config = SimConfig::haswell_like();
         for technique in Technique::ALL {
@@ -92,6 +94,36 @@ fn serialized_snapshot_restores_bit_identically() {
             assert_eq!(a.to_kv(), b.to_kv(), "{workload:?}/{technique:?}");
         }
     }
+}
+
+#[test]
+fn forks_never_write_through_to_the_shared_snapshot() {
+    // Forked cores share the snapshot's memory pages until they store to
+    // them; running two of them to completion must leave the snapshot
+    // exactly as a fresh capture.
+    let program = Workload::McfLike.build(&WorkloadParams::short(500));
+    let snap = SimSnapshot::capture(&program, WARMUP);
+    let config = SimConfig::haswell_like();
+    let warmed = WarmedState::build(&config, &snap.trace);
+    let stats: Vec<_> = [Technique::OutOfOrder, Technique::Pre]
+        .into_iter()
+        .map(|technique| {
+            let mut core = OooCore::from_snapshot(&config, &program, technique, &snap, &warmed)
+                .expect("valid configuration");
+            core.run(BUDGET, 1_000_000);
+            assert!(core.stats().committed_stores > 0, "{technique:?} stored");
+            core.stats().clone()
+        })
+        .collect();
+    let fresh = SimSnapshot::capture(&program, WARMUP);
+    assert_eq!(snap, fresh, "a fork wrote through to the shared snapshot");
+    assert_eq!(snap.to_text(), fresh.to_text());
+    // And a core forked after them still behaves as the first one did.
+    let mut again =
+        OooCore::from_snapshot(&config, &program, Technique::OutOfOrder, &snap, &warmed)
+            .expect("valid configuration");
+    again.run(BUDGET, 1_000_000);
+    assert_eq!(again.stats().to_kv(), stats[0].to_kv());
 }
 
 #[test]
