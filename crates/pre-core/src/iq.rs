@@ -20,11 +20,11 @@
 //! that outlive their entry (squash, runahead exit) are dropped lazily
 //! without walking any list eagerly.
 //!
-//! The queue also supports a *reference mode* (the `--reference-scheduler`
-//! escape hatch) in which none of the event structures are maintained and
-//! the pipeline falls back to scan-based select; both paths produce
-//! bit-identical statistics, which `pre-sim`'s `scheduler_equivalence` test
-//! asserts cell-by-cell.
+//! The queue also supports a *reference mode* (the test oracle selected by
+//! `CoreConfig::reference_scheduler`) in which none of the event structures
+//! are maintained and the pipeline falls back to scan-based select; both
+//! paths produce bit-identical statistics, which `pre-sim`'s
+//! `scheduler_equivalence` test asserts cell-by-cell.
 
 use pre_model::isa::{OpClass, StaticInst};
 use pre_model::reg::{PhysReg, RegClass};
@@ -256,11 +256,6 @@ impl IssueQueue {
             "scheduler mode is fixed after dispatch begins"
         );
         self.reference = reference;
-    }
-
-    /// `true` when the queue runs in reference (scan-based) mode.
-    pub fn is_reference_mode(&self) -> bool {
-        self.reference
     }
 
     /// `true` when no further micro-op can be dispatched.

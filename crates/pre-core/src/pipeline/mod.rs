@@ -231,12 +231,9 @@ pub struct OooCore {
     pub(crate) last_progress_cycle: u64,
     /// Always-on ring of the last few committed `(cycle, pc)` pairs, so a
     /// watchdog abort can report where the machine last made progress even
-    /// when no tracer was attached. Two stores per commit; covered by the
-    /// `compare_sim_speed` gate.
+    /// when no tracer was attached. Two stores per commit; their cost is
+    /// inside what the same-machine `perfbench` gate in CI measures.
     pub(crate) commit_ring: CommitRing,
-    /// Developer aid: print prefetch/demand-miss addresses when the
-    /// `PRE_TRACE_PREFETCH` environment variable is set.
-    pub(crate) trace_prefetches: bool,
     /// Attached observation hooks (`None` in normal runs: every hook site
     /// pays one untaken branch and nothing else). Tracers observe committed
     /// pipeline decisions and never steer them — the `trace_golden` suite
@@ -337,7 +334,6 @@ impl OooCore {
             deadlocked: false,
             last_progress_cycle: 0,
             commit_ring: CommitRing::new(COMMIT_RING_CAPACITY),
-            trace_prefetches: std::env::var_os("PRE_TRACE_PREFETCH").is_some(),
             tracer: None,
             issue_retry: Vec::new(),
             ref_candidates: Vec::new(),

@@ -315,7 +315,7 @@ impl OooCore {
         self.issue_retry = retry;
     }
 
-    /// Reference select (the `--reference-scheduler` escape hatch): rescans
+    /// Reference select (the `CoreConfig::reference_scheduler` oracle): rescans
     /// the whole queue for ready candidates every cycle, exactly like the
     /// pre-event-scheduler pipeline. Must stay bit-identical to
     /// [`OooCore::issue_stage`]; the `scheduler_equivalence` suite asserts
@@ -523,12 +523,6 @@ impl OooCore {
                     let access = self
                         .mem_hier
                         .load_range(addr, len, now, AccessKind::Prefetch);
-                    if self.trace_prefetches {
-                        eprintln!(
-                            "PF cycle={now} pc={} addr={addr:#x} level={:?} new_fill={}",
-                            entry.pc, access.level, access.initiated_dram_fill
-                        );
-                    }
                     mem_level = Some(access.level);
                     self.trace_mem_event(entry.pc, addr, &access, true, now);
                     if access.initiated_dram_fill {
@@ -559,9 +553,6 @@ impl OooCore {
                     crate::lsq::LoadCheck::Proceed => {
                         let raw = self.func_mem.load_bytes(addr, len);
                         let access = self.mem_hier.load_range(addr, len, now, AccessKind::Demand);
-                        if self.trace_prefetches && access.level == HitLevel::Memory {
-                            eprintln!("DM cycle={now} pc={} addr={addr:#x}", entry.pc);
-                        }
                         self.trace_mem_event(entry.pc, addr, &access, false, now);
                         result = Some(load_access.extend(raw));
                         completion = access.completion_cycle;

@@ -116,13 +116,6 @@ impl BranchPredictorUnit {
         }
     }
 
-    /// Speculatively shifts the predicted direction into the history (done at
-    /// prediction time by aggressive front ends). The simulator uses
-    /// resolve-time updates only, but this is exposed for experimentation.
-    pub fn speculate_history(&mut self, taken: bool) {
-        self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
-    }
-
     /// Current global-history register (checkpointed at runahead entry).
     pub fn history(&self) -> u64 {
         self.history

@@ -26,13 +26,6 @@ pub enum HitLevel {
     Memory,
 }
 
-impl HitLevel {
-    /// `true` when the access had to go off chip.
-    pub fn is_long_latency(&self) -> bool {
-        matches!(self, HitLevel::Memory)
-    }
-}
-
 /// The intent of a data access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -446,11 +439,6 @@ impl MemoryHierarchy {
     /// simulation outcomes.
     pub fn l1d_mshr_occupancy(&mut self, now: u64) -> usize {
         self.l1d_mshr.occupancy(now)
-    }
-
-    /// Capacity of the L1D MSHR file.
-    pub fn l1d_mshr_capacity(&self) -> usize {
-        self.l1d_mshr.capacity()
     }
 
     /// Cumulative L2 miss count (for time-series sampling).

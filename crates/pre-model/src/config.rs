@@ -141,10 +141,10 @@ pub struct CoreConfig {
     pub fu: FuConfig,
     /// Execution latencies.
     pub latencies: LatencyConfig,
-    /// Escape hatch: use the reference (cycle-by-cycle, scan-based) issue
+    /// Test oracle: use the reference (cycle-by-cycle, scan-based) issue
     /// scheduler instead of the event-driven wakeup/select scheduler with
     /// quiescent-cycle fast-forward. Both produce bit-identical statistics;
-    /// the reference path exists for equivalence testing and debugging.
+    /// the golden suites set this field to check that equivalence.
     pub reference_scheduler: bool,
 }
 
@@ -566,13 +566,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the L3 capacity in kilobytes (associativity and latency keep
-    /// their current values).
-    pub fn l3_kb(mut self, kb: usize) -> Self {
-        self.cfg.l3.size_bytes = kb * 1024;
-        self
-    }
-
     /// Sets the minimum expected runahead interval under which traditional
     /// runahead refuses to enter runahead mode.
     pub fn min_expected_runahead_cycles(mut self, cycles: u64) -> Self {
@@ -586,20 +579,6 @@ impl SimConfigBuilder {
     pub fn min_free_regs(mut self, int_regs: usize, fp_regs: usize) -> Self {
         self.cfg.runahead.min_free_int_regs = int_regs;
         self.cfg.runahead.min_free_fp_regs = fp_regs;
-        self
-    }
-
-    /// Selects the reference (scan-based, no fast-forward) issue scheduler
-    /// instead of the event-driven one. Statistics are bit-identical either
-    /// way; this is the `--reference-scheduler` escape hatch.
-    pub fn reference_scheduler(mut self, on: bool) -> Self {
-        self.cfg.core.reference_scheduler = on;
-        self
-    }
-
-    /// Applies an arbitrary closure to the configuration under construction.
-    pub fn tweak(mut self, f: impl FnOnce(&mut SimConfig)) -> Self {
-        f(&mut self.cfg);
         self
     }
 

@@ -201,7 +201,7 @@ impl Default for PercentHistogram {
 /// statistic: a fast-forwarded run models exactly the same machine as the
 /// cycle-by-cycle reference, it merely spends less host time doing so. To
 /// keep that guarantee checkable — [`SimStats`] equality between a
-/// fast-forwarded run and the `--reference-scheduler` oracle — `PartialEq`
+/// fast-forwarded run and the reference-scheduler oracle — `PartialEq`
 /// deliberately treats any two values as equal.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FfCycles {

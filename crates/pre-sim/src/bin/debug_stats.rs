@@ -41,10 +41,6 @@ runahead interval entry/exit event log collected through the tracer.
 environment variables:
   PRE_DEBUG_ALL_EVENTS  print every interval event instead of the first 200
   PRE_THREADS           cap the worker pool used by the matrix binaries
-  PRE_BENCH_JSON        write bench results as JSON (pre-bench harness)
-  PRE_SIM_SPEED_CELLS   cells measured by the sim-speed bench
-  PRE_SIM_SPEED_UOPS    per-cell budget of the sim-speed bench
-  PRE_SIM_SPEED_REFERENCE  also time the reference scheduler
 ";
 
 /// Reports a failed run and exits 1.

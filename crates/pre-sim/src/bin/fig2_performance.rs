@@ -2,9 +2,8 @@
 //! normalized to the out-of-order baseline, for every workload in the
 //! selected suite plus the geometric mean.
 //!
-//! Usage: `fig2_performance [--suite synthetic|asm|mixed]
-//! [--reference-scheduler] [max_uops_per_run]` (defaults: the synthetic
-//! memory-intensive suite, 300 000 uops, event-driven scheduler).
+//! Usage: `fig2_performance [--suite synthetic|asm|mixed] [max_uops_per_run]`
+//! (defaults: the synthetic memory-intensive suite, 300 000 uops).
 
 use pre_sim::experiments::{
     cli_from_args, fig2_summary, fig2_table, Flag, Suite, DEFAULT_EVAL_UOPS,
@@ -12,7 +11,7 @@ use pre_sim::experiments::{
 use pre_sim::EvaluationMatrix;
 
 fn main() {
-    let flags = [Flag::Suite, Flag::ReferenceScheduler, Flag::MaxUops];
+    let flags = [Flag::Suite, Flag::MaxUops];
     let cli = cli_from_args(DEFAULT_EVAL_UOPS, &flags, "");
     eprintln!(
         "running the Figure 2 evaluation matrix over the {} suite ({} committed uops per run)...",

@@ -1,9 +1,8 @@
 //! Regenerates Figure 3: energy savings (core + DRAM) of RA, RA-buffer, PRE
 //! and PRE+EMQ relative to the out-of-order baseline.
 //!
-//! Usage: `fig3_energy [--suite synthetic|asm|mixed] [--reference-scheduler]
-//! [max_uops_per_run]` (defaults: the synthetic memory-intensive suite,
-//! 300 000 uops, event-driven scheduler).
+//! Usage: `fig3_energy [--suite synthetic|asm|mixed] [max_uops_per_run]`
+//! (defaults: the synthetic memory-intensive suite, 300 000 uops).
 
 use pre_sim::experiments::{
     cli_from_args, fig3_summary, fig3_table, Flag, Suite, DEFAULT_EVAL_UOPS,
@@ -11,7 +10,7 @@ use pre_sim::experiments::{
 use pre_sim::EvaluationMatrix;
 
 fn main() {
-    let flags = [Flag::Suite, Flag::ReferenceScheduler, Flag::MaxUops];
+    let flags = [Flag::Suite, Flag::MaxUops];
     let cli = cli_from_args(DEFAULT_EVAL_UOPS, &flags, "");
     eprintln!(
         "running the Figure 3 evaluation matrix over the {} suite ({} committed uops per run)...",

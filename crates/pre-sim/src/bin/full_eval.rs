@@ -3,17 +3,14 @@
 //! (runahead invocation ratios). This is the cheapest way to regenerate the
 //! paper's headline numbers because the matrix is simulated only once.
 //!
-//! Usage: `full_eval [--suite synthetic|asm|mixed] [--reference-scheduler]
-//! [--warmup <uops>] [--trace <spec>] [--sample [n=K,interval=N]]
-//! [max_uops_per_run]` (defaults: the synthetic memory-intensive suite,
-//! 300 000 uops, event-driven scheduler). `--sample` estimates every cell by
-//! SimPoint-style interval sampling (profile → cluster → simulate one
-//! representative per cluster → extrapolate); sampled numbers are marked `~`
-//! in the tables and the sampling metadata is printed after them.
-//! `--reference-scheduler` selects the scan-based escape-hatch scheduler —
-//! bit-identical statistics, much slower wall clock; useful for timing
-//! comparisons and debugging. `--warmup` shares one functional warm-up
-//! snapshot per workload across its cells. `--trace dir=traces,all`
+//! Usage: `full_eval [--suite synthetic|asm|mixed] [--warmup <uops>]
+//! [--trace <spec>] [--sample [n=K,interval=N]] [max_uops_per_run]`
+//! (defaults: the synthetic memory-intensive suite, 300 000 uops).
+//! `--sample` estimates every cell by SimPoint-style interval sampling
+//! (profile → cluster → simulate one representative per cluster →
+//! extrapolate); sampled numbers are marked `~` in the tables and the
+//! sampling metadata is printed after them. `--warmup` shares one
+//! functional warm-up snapshot per workload across its cells. `--trace dir=traces,all`
 //! additionally writes per-cell trace files (pipeview/Chrome/time-series/
 //! commit streams). Cells consult the result cache (persisted when
 //! `PRE_CACHE_DIR` names a directory), so a repeated invocation answers
@@ -30,14 +27,8 @@ use pre_sim::EvaluationMatrix;
 fn main() {
     let cli = cli_from_args(DEFAULT_EVAL_UOPS, MATRIX_FLAGS, "");
     eprintln!(
-        "running the full evaluation matrix over the {} suite ({} committed uops per run{})...",
-        cli.suite,
-        cli.budget,
-        if cli.reference_scheduler {
-            ", reference scheduler"
-        } else {
-            ""
-        }
+        "running the full evaluation matrix over the {} suite ({} committed uops per run)...",
+        cli.suite, cli.budget
     );
     if let Some(trace) = &cli.trace {
         eprintln!("writing per-cell traces under {}", trace.dir.display());

@@ -4,9 +4,9 @@
 //! behave sensibly" smoke test; the real figures come from the
 //! `fig2_performance` / `fig3_energy` binaries.
 //!
-//! Usage: `quick_check [--suite synthetic|asm|mixed] [--reference-scheduler]
-//! [--warmup <uops>] [--trace <spec>] [--sample [n=K,interval=N]]
-//! [max_uops]` (`--suite asm` smoke-tests every assembled RISC-V kernel). Cells consult the result
+//! Usage: `quick_check [--suite synthetic|asm|mixed] [--warmup <uops>]
+//! [--trace <spec>] [--sample [n=K,interval=N]] [max_uops]` (`--suite asm`
+//! smoke-tests every assembled RISC-V kernel). Cells consult the result
 //! cache (persisted when `PRE_CACHE_DIR` is set); the `cache` column shows
 //! `hit` for cells answered from it and `sim` for cells actually simulated.
 //! With `--sample`, cells are *estimated* by SimPoint-style interval

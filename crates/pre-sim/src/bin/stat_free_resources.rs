@@ -4,18 +4,17 @@
 //! to execute stalling slices without discarding the window.
 //!
 //! Usage: `stat_free_resources [--suite synthetic|asm|mixed]
-//! [--reference-scheduler] [max_uops_per_run]`.
+//! [max_uops_per_run]`.
 
-use pre_sim::experiments::{cli_from_args, stat_free_resources_with, Flag, DEFAULT_EVAL_UOPS};
+use pre_sim::experiments::{cli_from_args, stat_free_resources, Flag, DEFAULT_EVAL_UOPS};
 
 fn main() {
-    let flags = [Flag::Suite, Flag::ReferenceScheduler, Flag::MaxUops];
+    let flags = [Flag::Suite, Flag::MaxUops];
     let cli = cli_from_args(DEFAULT_EVAL_UOPS / 2, &flags, "");
-    let table =
-        stat_free_resources_with(cli.suite, &cli.config(), cli.budget).expect("stat C runs");
+    let table = stat_free_resources(cli.suite, cli.budget).expect("stat C runs");
     println!("{}", table.render());
     println!("paper: ~37 % IQ, ~51 % integer registers, ~59 % FP registers free at entry");
-    println!("note: see EXPERIMENTS.md — our synthetic integer kernels are denser in");
-    println!("destination-writing micro-ops than SPEC x86 code, so the integer-register");
-    println!("headroom is smaller for the integer workloads.");
+    println!("note: see README.md, \"Register reclamation and the PRDQ\" — our synthetic");
+    println!("integer kernels are denser in destination-writing micro-ops than SPEC x86");
+    println!("code, so the integer-register headroom is smaller for the integer workloads.");
 }

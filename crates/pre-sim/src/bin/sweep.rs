@@ -13,7 +13,7 @@
 //! sweep [--workload <name>] [--technique <name>] [--budget <uops>]
 //!       [--warmup <uops>] [--grid dim=v1,v2,...]... [--json <path>]
 //!       [--csv <path>] [--no-cache] [--expect-min-hit-rate <pct>]
-//!       [--reference-scheduler] [--fail-fast] [--max-retries <n>]
+//!       [--fail-fast] [--max-retries <n>]
 //!       [--sample [n=K,interval=N]]
 //! ```
 //!
@@ -47,7 +47,6 @@ const FLAGS: &[Flag] = &[
     Flag::Opt("--csv", "<path>"),
     Flag::Switch("--no-cache"),
     Flag::Opt("--expect-min-hit-rate", "<pct>"),
-    Flag::ReferenceScheduler,
     Flag::Switch("--fail-fast"),
     Flag::Opt("--max-retries", "<n>"),
     Flag::Sample,
@@ -69,7 +68,6 @@ fn parse_args() -> Args {
     // Defaults mirror the EMQ ablation: lbm-like under PRE+EMQ.
     let mut sweep = Sweep::new(Workload::LbmLike, Technique::PreEmq);
     sweep.budget = cli.budget;
-    sweep.base_config = cli.config();
     sweep.warmup_uops = cli.warmup;
     sweep.sample = cli.sample;
     sweep.use_result_cache = true;

@@ -1,6 +1,6 @@
 //! Experiment definitions: one function per figure/table/statistic of the
-//! paper, shared by the `pre-sim` binaries and the benches, plus the one
-//! command-line parser ([`parse_cli`]) every binary uses.
+//! paper, shared by the `pre-sim` binaries, plus the one command-line
+//! parser ([`parse_cli`]) every binary uses.
 
 use crate::matrix::EvaluationMatrix;
 use crate::report::{pct, pct_improvement, Table};
@@ -145,8 +145,6 @@ impl FromStr for Suite {
 pub enum Flag {
     /// `--suite synthetic|asm|mixed` (default synthetic).
     Suite,
-    /// `--reference-scheduler`: the scan-based escape-hatch scheduler.
-    ReferenceScheduler,
     /// `--warmup <uops>`: functional warm-up before detailed simulation.
     Warmup,
     /// `--trace <spec>` (see [`TraceSpec`] for the grammar).
@@ -173,7 +171,6 @@ impl Flag {
     fn name(self) -> Option<&'static str> {
         match self {
             Flag::Suite => Some("--suite"),
-            Flag::ReferenceScheduler => Some("--reference-scheduler"),
             Flag::Warmup => Some("--warmup"),
             Flag::Trace => Some("--trace"),
             Flag::Sample => Some("--sample"),
@@ -192,7 +189,7 @@ impl Flag {
             Flag::Opt(name, value) => format!("[{name} {value}]"),
             Flag::Cell => "[workload] [technique]".into(),
             Flag::MaxUops => "[max_uops]".into(),
-            Flag::ReferenceScheduler | Flag::Switch(_) | Flag::Help => {
+            Flag::Switch(_) | Flag::Help => {
                 format!("[{}]", self.name().unwrap_or_default())
             }
         }
@@ -203,7 +200,6 @@ impl Flag {
 /// cells honour every per-run flag.
 pub const MATRIX_FLAGS: &[Flag] = &[
     Flag::Suite,
-    Flag::ReferenceScheduler,
     Flag::Warmup,
     Flag::Trace,
     Flag::Sample,
@@ -218,10 +214,6 @@ pub struct CliArgs {
     pub suite: Suite,
     /// Committed-micro-op budget per run.
     pub budget: u64,
-    /// Escape hatch: run on the reference (scan-based, no fast-forward)
-    /// scheduler instead of the event-driven one. Statistics are
-    /// bit-identical; only wall-clock time differs.
-    pub reference_scheduler: bool,
     /// Micro-ops of functional warm-up before detailed simulation
     /// (`--warmup <uops>`; 0 = cold start). Warm-up snapshots are shared
     /// across the cells of one invocation, so the warm-up executes once per
@@ -247,23 +239,14 @@ pub struct CliArgs {
 }
 
 impl CliArgs {
-    /// The simulator configuration these arguments select: the paper's
-    /// Table 1 baseline, with the reference scheduler applied when
-    /// requested.
-    pub fn config(&self) -> SimConfig {
-        let mut cfg = SimConfig::haswell_like();
-        cfg.core.reference_scheduler = self.reference_scheduler;
-        cfg
-    }
-
-    /// The run of one cell under these arguments: budget, configuration,
-    /// warm-up, trace and sampling as given, consulting the result cache
-    /// (traced cells always simulate). Each traced cell writes its own files
-    /// named after [`crate::runner::cell_name`].
+    /// The run of one cell under these arguments: the paper's Table 1
+    /// configuration with budget, warm-up, trace and sampling as given,
+    /// consulting the result cache (traced cells always simulate). Each
+    /// traced cell writes its own files named after
+    /// [`crate::runner::cell_name`].
     pub fn spec(&self, workload: Workload, technique: Technique) -> RunSpec {
         let mut spec = RunSpec::new(workload, technique)
             .with_budget(self.budget)
-            .with_config(self.config())
             .with_warmup(self.warmup)
             .with_result_cache(true);
         spec.trace.clone_from(&self.trace);
@@ -312,7 +295,6 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(
     let mut cli = CliArgs {
         suite: Suite::default(),
         budget: default_budget,
-        reference_scheduler: false,
         warmup: 0,
         trace: None,
         sample: None,
@@ -367,7 +349,6 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(
                 cli.own.push((name, value));
             }
             _ if inline.is_some() => return Err(format!("{name} takes no value")),
-            Flag::ReferenceScheduler => cli.reference_scheduler = true,
             Flag::Switch(name) => cli.own.push((name, String::new())),
             Flag::Help => cli.help = true,
             Flag::Cell | Flag::MaxUops => unreachable!("positionals have no flag name"),
@@ -688,15 +669,17 @@ pub fn stat_flush_overhead(max_uops: u64) -> Result<Table, SimError> {
             "analytic (cycles)",
         ],
     );
-    for workload in [
+    let specs = [
         Workload::LbmLike,
         Workload::LibquantumLike,
         Workload::MilcLike,
-    ] {
-        let result = run_one(&RunSpec::new(workload, Technique::Runahead).with_budget(max_uops))?;
+    ]
+    .map(|workload| RunSpec::new(workload, Technique::Runahead).with_budget(max_uops));
+    let matrix = EvaluationMatrix::run_specs_isolated(&specs, |_| {}).into_result()?;
+    for result in matrix.results() {
         let exits = result.stats.runahead_exits.max(1);
         table.add_row(vec![
-            workload.name().into(),
+            result.workload.name().into(),
             result.stats.runahead_exits.to_string(),
             format!(
                 "{:.1}",
@@ -715,11 +698,13 @@ pub fn stat_intervals(max_uops: u64) -> Result<Table, SimError> {
         "Stat B — runahead interval lengths (PRE, unrestricted entry)",
         &["workload", "intervals", "mean (cycles)", "< 20 cycles"],
     );
-    for workload in Workload::MEMORY_INTENSIVE {
-        let result = run_one(&RunSpec::new(workload, Technique::Pre).with_budget(max_uops))?;
+    let specs = Workload::MEMORY_INTENSIVE
+        .map(|workload| RunSpec::new(workload, Technique::Pre).with_budget(max_uops));
+    let matrix = EvaluationMatrix::run_specs_isolated(&specs, |_| {}).into_result()?;
+    for result in matrix.results() {
         let hist = &result.stats.runahead_interval_hist;
         table.add_row(vec![
-            workload.name().into(),
+            result.workload.name().into(),
             hist.count().to_string(),
             format!("{:.1}", hist.mean()),
             pct(hist.fraction_below(20)),
@@ -734,20 +719,6 @@ pub fn stat_intervals(max_uops: u64) -> Result<Table, SimError> {
 /// occupancy histograms at full-window stalls and the eager-drain volume —
 /// the counters behind the `asm-box-blur` reproduction finding.
 pub fn stat_free_resources(suite: Suite, max_uops: u64) -> Result<Table, SimError> {
-    stat_free_resources_with(suite, &SimConfig::haswell_like(), max_uops)
-}
-
-/// [`stat_free_resources`] with an explicit configuration (e.g. the
-/// `--reference-scheduler` escape hatch).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn stat_free_resources_with(
-    suite: Suite,
-    config: &SimConfig,
-    max_uops: u64,
-) -> Result<Table, SimError> {
     let mut table = Table::new(
         "Stat C — free resources at runahead entry (PRE)",
         &[
@@ -759,17 +730,17 @@ pub fn stat_free_resources_with(
             "eager frees",
         ],
     );
-    // Walk the canonical `Suite::cells` matrix (shared with `quick_check`
-    // and the benches) restricted to the PRE column, so cell orderings
-    // agree across binaries.
-    for (workload, technique) in suite.cells().filter(|&(_, t)| t == Technique::Pre) {
-        let result = run_one(
-            &RunSpec::new(workload, technique)
-                .with_budget(max_uops)
-                .with_config(config.clone()),
-        )?;
+    // Walk the canonical `Suite::cells` matrix (shared with `quick_check`)
+    // restricted to the PRE column, so cell orderings agree across binaries.
+    let specs: Vec<RunSpec> = suite
+        .cells()
+        .filter(|&(_, t)| t == Technique::Pre)
+        .map(|(workload, technique)| RunSpec::new(workload, technique).with_budget(max_uops))
+        .collect();
+    let matrix = EvaluationMatrix::run_specs_isolated(&specs, |_| {}).into_result()?;
+    for result in matrix.results() {
         table.add_row(vec![
-            workload.name().into(),
+            result.workload.name().into(),
             pct(result.stats.iq_free_at_entry.mean()),
             pct(result.stats.int_regs_free_at_entry.mean()),
             pct(result.stats.fp_regs_free_at_entry.mean()),
@@ -982,7 +953,8 @@ mod tests {
         let err = parse_cli(args(&["--bogus", "300"]), 777, MATRIX_FLAGS).unwrap_err();
         assert!(err.contains("--bogus"), "{err}");
         // Switches take no value; `--help` only where a binary offers it.
-        assert!(parse_cli(args(&["--reference-scheduler=1"]), 777, MATRIX_FLAGS).is_err());
+        let switch = [Flag::Switch("--no-cache")];
+        assert!(parse_cli(args(&["--no-cache=1"]), 777, &switch).is_err());
         assert!(parse_cli(args(&["--help"]), 777, MATRIX_FLAGS).is_err());
         let cli = parse_cli(args(&["-h"]), 777, &[Flag::Help]).unwrap();
         assert!(cli.help);

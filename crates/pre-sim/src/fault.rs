@@ -21,7 +21,7 @@
 //! injects nothing would make the degradation tests vacuously green.
 //!
 //! Everything here is deterministic — no randomness, no time — so an
-//! injected failure reproduces exactly under `--reference-scheduler`, under
+//! injected failure reproduces exactly under the reference scheduler, under
 //! `PRE_THREADS=1`, and across reruns. With `PRE_FAULT` unset every helper
 //! is a single `env::var_os` miss on a cold path (cell start, cache-file
 //! write), never per-cycle.

@@ -103,13 +103,6 @@ impl RunSpec {
         self
     }
 
-    /// Limits the warm-up snapshot's warm trace to the final `uops` of the
-    /// warm-up (see [`RunSpec::warm_window`]).
-    pub fn with_warm_window(mut self, uops: u64) -> Self {
-        self.warm_window = Some(uops);
-        self
-    }
-
     /// Requests SimPoint-style interval sampling with the given parameters
     /// (see [`crate::sample::run_sampled`]).
     pub fn sampled(mut self, sample: SampleSpec) -> Self {

@@ -34,4 +34,9 @@ fn flags_a_binary_does_not_take_are_rejected() {
     assert_rejected(env!("CARGO_BIN_EXE_stat_intervals"), &["--warmup", "500"]);
     assert_rejected(env!("CARGO_BIN_EXE_stat_invocations"), &["--bogus", "300"]);
     assert_rejected(env!("CARGO_BIN_EXE_sweep"), &["--grid", "nope=1"]);
+    // The scan-based scheduler is a test oracle, not a product option.
+    assert_rejected(
+        env!("CARGO_BIN_EXE_full_eval"),
+        &["--reference-scheduler", "1000"],
+    );
 }
